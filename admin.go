@@ -60,7 +60,7 @@ type GroupConfig struct {
 	// endpoints (empty admits any peer).
 	Members []string
 	// Float32 opts the group's replication traffic into packed-float32
-	// model blobs toward capable replicas (see WithFloat32Payloads).
+	// model blobs (see WithFloat32Payloads).
 	Float32 bool
 	// Quota rate-limits the group's ingest (zero: unlimited).
 	Quota Quota

@@ -64,13 +64,12 @@
 //     and drift re-derivations — exportable as a JSON snapshot
 //     (Metrics.Snapshot, or over HTTP via sapnode -metrics-addr, which
 //     also answers /healthz liveness probes).
-//   - Negotiated wire formats: WithCompression DEFLATE-compresses service
-//     frames and WithFloat32Payloads halves record payloads (float32
-//     packing, ~7 significant digits — far inside the perturbation noise
-//     floor), each engaging per peer only after that peer advertises the
-//     capability in band, so mixed-version fleets keep exchanging classic
-//     frames with zero errors. Encode buffers and flate coders are pooled,
-//     keeping the frame hot path allocation-free.
+//   - One service frame layout: every frame is the magic byte, the wire
+//     version and a gob body, and any other version is refused with a
+//     typed ErrWireVersion. WithFloat32Payloads halves record payloads
+//     (float32 packing, ~7 significant digits — far inside the
+//     perturbation noise floor); it is the sender's own choice, since every
+//     peer decodes both forms. Encode buffers are pooled.
 //   - Risk accounting: the paper's Eq. 1 and Eq. 2 plus the party-count
 //     bounds behind its Figure 4.
 //

@@ -110,8 +110,8 @@ func EncodeModel(c Classifier) ([]byte, error) {
 // The precision contract narrows accordingly: DecodeModel returns a model
 // whose state is the float32 rounding of the original's (~7 significant
 // digits), so predictions may differ on inputs near decision boundaries.
-// Only send these blobs to peers that advertised the float32 capability;
-// DecodeModel on any v7 peer handles both forms transparently.
+// DecodeModel handles both forms transparently, so a sender may choose
+// either.
 func EncodeModelFloat32(c Classifier) ([]byte, error) {
 	return encodeModel(c, true)
 }

@@ -285,6 +285,108 @@ func TestLeaderRestartHandshake(t *testing.T) {
 	}
 }
 
+// holdSyncConn wraps a node's endpoint and parks its first model-sync send
+// until release is closed, closing held once the send is parked.
+type holdSyncConn struct {
+	transport.Conn
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (c *holdSyncConn) Send(ctx context.Context, to string, payload []byte) error {
+	if info, ok := protocol.InspectFrame(payload); ok && info.Kind == protocol.KindModelSync {
+		first := false
+		c.once.Do(func() { first = true })
+		if first {
+			close(c.held)
+			select {
+			case <-c.release:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+	}
+	return c.Conn.Send(ctx, to, payload)
+}
+
+// TestPublishStampsReplicasBeforeSend pins the publish/state race behind
+// the restart-handshake flake: a replica's state answer that arrives while
+// the leader's model-sync send is still in flight reports the previous
+// sequence, and must not schedule an anti-entropy re-push — the replica
+// would only drop it as a duplicate.
+func TestPublishStampsReplicasBeforeSend(t *testing.T) {
+	table, err := NewStaticTable([]protocol.RouteEntry{
+		{Group: "g-a", Node: "n1", Replicas: []string{"n2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewMemNetwork()
+	raw, _ := net.Endpoint("n1")
+	conn := &holdSyncConn{Conn: raw, held: make(chan struct{}), release: make(chan struct{})}
+	replicaConn, _ := net.Endpoint("n2") // the test speaks for the replica
+	defer replicaConn.Close()
+	cliConn, _ := net.Endpoint("cli")
+	defer cliConn.Close()
+
+	// A gossip cadence far beyond the test keeps the tick-driven rounds out
+	// of the way; the test delivers every state answer itself.
+	leader, err := NewNode(NodeConfig{Name: "n1", Conn: conn, Table: table,
+		Groups: oneGroupSpecs(t)(), AntiEntropyEvery: time.Minute,
+		Service: protocol.ServiceConfig{RefitEvery: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = leader.Serve(ctx)
+	}()
+	var releaseOnce sync.Once
+	releaseHold := func() { releaseOnce.Do(func() { close(conn.release) }) }
+	t.Cleanup(func() {
+		releaseHold()
+		cancel()
+		<-done
+		_ = conn.Close()
+	})
+
+	leader.mu.Lock()
+	row := leader.rows["g-a"]
+	leader.mu.Unlock()
+	staleState := protocol.SyncGossip{From: "n2", Group: "g-a", Seq: 0, Epoch: row.Epoch, Row: &row}
+	// The handshake: the replica's first state floors the leader's
+	// numbering, so the next refit publishes at once.
+	leader.handleGossip(ctx, staleState)
+
+	cli, err := protocol.NewGroupServiceClient(cliConn, "n1", "g-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	xs, ys := chunkAt(2, 50)
+	if _, err := cli.PushChunk(testCtx(t), xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-conn.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the refit's model sync was never sent")
+	}
+
+	// The publish of seq 1 is in flight; the replica's answer still
+	// reports seq 0.
+	leader.handleGossip(ctx, staleState)
+	leader.mu.Lock()
+	owed := len(leader.repush["g-a"])
+	leader.mu.Unlock()
+	if owed != 0 {
+		t.Fatalf("a state answer racing the in-flight publish scheduled %d re-push(es), want 0", owed)
+	}
+	releaseHold()
+}
+
 // TestAntiEntropyCatchUp is the partition-repair e2e: a follower cut off
 // during a refit misses the publish; one gossip round after the heal, the
 // leader re-pushes the current model and the follower's staleness gauge

@@ -125,12 +125,11 @@ type Node struct {
 	// Dynamic cluster state, all guarded by mu: the hosted-group list (table
 	// order, grown and shrunk at runtime by the admin control plane's
 	// register/evict hooks), the float32 payload preference per hosted group
-	// (GroupSpec.Float32: their model syncs ship packed-float32 blobs to
-	// replicas that advertise the capability), this node's per-group rows
-	// (each carrying its own epoch; failover adoption replaces individual
-	// rows), the leader-side sequence/coverage counters, the handshake floor
-	// state, the replication queues and the per-followed-group
-	// leader-contact clocks. base is the construction-time table, served
+	// (GroupSpec.Float32: their model syncs ship packed-float32 blobs), this
+	// node's per-group rows (each carrying its own epoch; failover adoption
+	// replaces individual rows), the leader-side sequence/coverage counters,
+	// the handshake floor state, the replication queues and the
+	// per-followed-group leader-contact clocks. base is the construction-time table, served
 	// verbatim for the groups this node does not host.
 	mu      sync.Mutex
 	hosted  []string
@@ -160,8 +159,10 @@ type Node struct {
 	// asynchronously, so one produced while a just-published model is still
 	// in flight (or queued behind the replica's ingest lane) reports the old
 	// sequence — re-pushing on that evidence just earns an idempotent
-	// reject. A genuinely lost frame still reports behind on the next
-	// round, after the window, and is repaired then.
+	// reject. A publish stamps every replica under the same lock that
+	// advances modelSeq, and again once each send returns, so no state
+	// answer can fall between the two. A genuinely lost frame still reports
+	// behind on the next round, after the window, and is repaired then.
 	lastSync map[string]map[string]time.Time
 	contact  map[string]time.Time // followed group -> last leader contact
 
@@ -719,6 +720,12 @@ func (n *Node) publishPending(ctx context.Context) {
 		n.modelSeq[group] = seq
 		n.modelCov[group] = cov
 		replicas := append([]string(nil), row.Replicas...)
+		// Stamp every replica before the lock drops: a state answer that
+		// arrives while these sends are in flight reports the previous
+		// sequence, and must not read as a replica owed a re-push.
+		for _, replica := range replicas {
+			n.noteSyncSentLocked(group, replica)
+		}
 		f32 := n.f32[group]
 		lagBase := n.lagBase[group]
 		n.mu.Unlock()
@@ -726,21 +733,15 @@ func (n *Node) publishPending(ctx context.Context) {
 		views := sortedViews(ps.models)
 		allSent := true
 		for _, view := range views {
-			blobs := newSyncBlobs(ps.models[view], f32)
-			blob, err := blobs.plain()
+			blob, err := encodeSyncBlob(ps.models[view], f32)
 			if err != nil {
 				n.mSyncErrors.Inc()
 				allSent = false
 				continue
 			}
 			for _, replica := range replicas {
-				// Frame per the replica's advertised capabilities:
-				// compression when both sides opted in, and the packed-
-				// float32 blob (half the bytes) when the group opted in and
-				// the replica accepts it.
-				opts := n.svc.FrameOptsFor(replica, f32)
 				sctx, scancel := context.WithTimeout(ctx, syncSendTimeout)
-				err := protocol.SendModelSync(sctx, n.conn, replica, group, view, seq, cov, blobs.forOpts(opts, blob), opts)
+				err := protocol.SendModelSync(sctx, n.conn, replica, group, view, seq, cov, blob)
 				scancel()
 				if err != nil {
 					n.mSyncErrors.Inc()
@@ -779,8 +780,7 @@ func (n *Node) publishPending(ctx context.Context) {
 			continue
 		}
 		for _, vm := range views {
-			blobs := newSyncBlobs(vm.Model, f32)
-			blob, err := blobs.plain()
+			blob, err := encodeSyncBlob(vm.Model, f32)
 			if err != nil {
 				n.mSyncErrors.Inc()
 				continue
@@ -789,9 +789,8 @@ func (n *Node) publishPending(ctx context.Context) {
 				if !contains(row.Replicas, replica) {
 					continue
 				}
-				opts := n.svc.FrameOptsFor(replica, f32)
 				sctx, scancel := context.WithTimeout(ctx, syncSendTimeout)
-				err := protocol.SendModelSync(sctx, n.conn, replica, group, vm.Level, seq, cov, blobs.forOpts(opts, blob), opts)
+				err := protocol.SendModelSync(sctx, n.conn, replica, group, vm.Level, seq, cov, blob)
 				scancel()
 				if err != nil {
 					n.mSyncErrors.Inc()
@@ -815,69 +814,29 @@ func sortedViews(models map[int]classify.Classifier) []int {
 	return out
 }
 
-// syncBlobs lazily encodes the wire forms of one model being replicated: the
-// float64 blob always (every replica decodes it), the packed-float32 variant
-// only once the first float32-capable replica actually needs it. Encoding
-// once per publish round, not per replica, keeps wide fan-outs cheap.
-type syncBlobs struct {
-	model             classify.Classifier
-	f32OK             bool // the group opted into float32 payloads
-	plain64, packed32 []byte
-}
-
-func newSyncBlobs(model classify.Classifier, f32OK bool) *syncBlobs {
-	return &syncBlobs{model: model, f32OK: f32OK}
-}
-
-// plain returns (encoding on first use) the float64 blob.
-func (b *syncBlobs) plain() ([]byte, error) {
-	if b.plain64 == nil {
-		blob, err := classify.EncodeModel(b.model)
-		if err != nil {
-			return nil, err
-		}
-		b.plain64 = blob
+// encodeSyncBlob encodes one replicated model, once per publish round, as
+// the packed-float32 blob when the group chose float32 payloads and as the
+// float64 blob otherwise. Every replica decodes both forms.
+func encodeSyncBlob(model classify.Classifier, f32 bool) ([]byte, error) {
+	if f32 {
+		return classify.EncodeModelFloat32(model)
 	}
-	return b.plain64, nil
-}
-
-// forOpts picks the blob variant for one replica's negotiated options,
-// falling back to the given plain blob when float32 is not in play (or the
-// float32 encoding fails, which the plain path then covers).
-func (b *syncBlobs) forOpts(opts protocol.FrameOpts, plain []byte) []byte {
-	if !opts.Float32 || !b.f32OK {
-		return plain
-	}
-	if b.packed32 == nil {
-		blob, err := classify.EncodeModelFloat32(b.model)
-		if err != nil {
-			b.packed32 = plain
-		} else {
-			b.packed32 = blob
-		}
-	}
-	return b.packed32
-}
-
-// gossipOpts resolves the negotiated wire features for one gossip frame
-// toward a peer: compression when both sides opted in (the frame also stamps
-// this node's capability mask, so fire-and-forget gossip keeps teaching
-// peers what this node accepts even though no response flows back).
-func (n *Node) gossipOpts(peer, group string) protocol.FrameOpts {
-	n.mu.Lock()
-	f32 := n.f32[group]
-	n.mu.Unlock()
-	return n.svc.FrameOptsFor(peer, f32)
+	return classify.EncodeModel(model)
 }
 
 // noteSyncSent stamps the last model-sync send to one replica (see lastSync).
 func (n *Node) noteSyncSent(group, replica string) {
 	n.mu.Lock()
+	n.noteSyncSentLocked(group, replica)
+	n.mu.Unlock()
+}
+
+// noteSyncSentLocked is noteSyncSent with mu held.
+func (n *Node) noteSyncSentLocked(group, replica string) {
 	if n.lastSync[group] == nil {
 		n.lastSync[group] = make(map[string]time.Time)
 	}
 	n.lastSync[group][replica] = time.Now()
-	n.mu.Unlock()
 }
 
 // syncerLoop is the durability coordinator: it runs a gossip round
@@ -950,7 +909,7 @@ func (n *Node) gossipRound(ctx context.Context) {
 	for _, h := range hellos {
 		for _, to := range h.row.Replicas {
 			sctx, cancel := n.sendCtx(ctx)
-			_ = protocol.SendSyncHello(sctx, n.conn, to, h.group, h.seq, h.row.Epoch, h.cov, h.row, n.gossipOpts(to, h.group))
+			_ = protocol.SendSyncHello(sctx, n.conn, to, h.group, h.seq, h.row.Epoch, h.cov, h.row)
 			cancel()
 		}
 	}
@@ -961,7 +920,7 @@ func (n *Node) gossipRound(ctx context.Context) {
 		}
 		cov, _ := n.svc.GroupSyncCovered(s.group)
 		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncState(sctx, n.conn, s.to, s.group, seq, s.row.Epoch, cov, s.row, n.gossipOpts(s.to, s.group))
+		_ = protocol.SendSyncState(sctx, n.conn, s.to, s.group, seq, s.row.Epoch, cov, s.row)
 		cancel()
 	}
 }
@@ -1041,7 +1000,7 @@ func (n *Node) handleGossip(ctx context.Context, g protocol.SyncGossip) {
 		myRow := n.rows[g.Group]
 		n.mu.Unlock()
 		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncState(sctx, n.conn, g.From, g.Group, mySeq, myRow.Epoch, myCov, myRow, n.gossipOpts(g.From, g.Group))
+		_ = protocol.SendSyncState(sctx, n.conn, g.From, g.Group, mySeq, myRow.Epoch, myCov, myRow)
 		cancel()
 		return
 	}
@@ -1098,7 +1057,7 @@ func (n *Node) teachLocked(ctx context.Context, to, group string) {
 	sctx, cancel := n.sendCtx(ctx)
 	defer cancel()
 	if iLead {
-		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, row.Epoch, cov, row, n.gossipOpts(to, group))
+		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, row.Epoch, cov, row)
 		return
 	}
 	mySeq, err := n.svc.GroupSyncSeq(group)
@@ -1106,7 +1065,7 @@ func (n *Node) teachLocked(ctx context.Context, to, group string) {
 		return
 	}
 	myCov, _ := n.svc.GroupSyncCovered(group)
-	_ = protocol.SendSyncState(sctx, n.conn, to, group, mySeq, row.Epoch, myCov, row, n.gossipOpts(to, group))
+	_ = protocol.SendSyncState(sctx, n.conn, to, group, mySeq, row.Epoch, myCov, row)
 }
 
 // adoptRowLocked installs a fresher (or tie-break-winning) row for one
@@ -1212,7 +1171,7 @@ func (n *Node) promote(ctx context.Context, group string) {
 
 	for _, to := range promoted.Replicas {
 		sctx, cancel := n.sendCtx(ctx)
-		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, promoted.Epoch, cov, promoted, n.gossipOpts(to, group))
+		_ = protocol.SendSyncHello(sctx, n.conn, to, group, seq, promoted.Epoch, cov, promoted)
 		cancel()
 	}
 }

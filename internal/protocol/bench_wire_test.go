@@ -26,11 +26,16 @@ func benchWireBatch(records, dim int) ([][]float64, []int) {
 	return x, y
 }
 
+// wireVariants are the payload formats a sender may choose.
+var wireVariants = []struct {
+	name string
+	f32  bool
+}{{"plain", false}, {"float32", true}}
+
 // BenchmarkWireBytes measures the encoded size of the hot-path frames —
-// stream-ingest chunks and model-sync replication — under each negotiable
-// wire format: classic float64, DEFLATE, packed float32, and both. The
-// headline metric is bytes/frame (ns/op tracks the encode cost of the
-// saved bytes); the float32+deflate row is the issue's ≥2x reduction bound.
+// stream-ingest chunks and model-sync replication — in each payload format:
+// float64 and packed float32. The headline metric is bytes/frame (ns/op
+// tracks the encode cost).
 func BenchmarkWireBytes(b *testing.B) {
 	batch, labels := benchWireBatch(256, 8)
 	train, err := dataset.New("bench", batch, labels)
@@ -50,23 +55,13 @@ func BenchmarkWireBytes(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	variants := []struct {
-		name string
-		opts frameOpts
-	}{
-		{"plain", frameOpts{}},
-		{"deflate", frameOpts{deflate: true}},
-		{"float32", frameOpts{f32: true}},
-		{"deflate+float32", frameOpts{deflate: true, f32: true}},
-	}
-
-	for _, v := range variants {
+	for _, v := range wireVariants {
 		ingest := &serviceWire{ID: 1, Kind: kindIngest, Group: "alpha",
-			Batch: batch, Labels: labels, Accept: acceptFloat32 | acceptDeflate}
+			Batch: batch, Labels: labels}
 		b.Run(fmt.Sprintf("ingest/%s", v.name), func(b *testing.B) {
 			var size int
 			for i := 0; i < b.N; i++ {
-				payload, err := encodeServiceFrame(ingest, v.opts)
+				payload, err := encodeServiceFrame(ingest, v.f32)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,20 +71,20 @@ func BenchmarkWireBytes(b *testing.B) {
 		})
 	}
 
-	for _, v := range variants {
+	for _, v := range wireVariants {
 		// Model sync: float32 selects the packed model blob (what the
-		// cluster publisher sends to float32-accepting replicas); the
-		// frame-level f32 flag has no batch to act on.
+		// cluster publisher sends for a float32 group); the frame-level
+		// f32 flag has no batch to act on.
 		model := plainModel
-		if v.opts.f32 {
+		if v.f32 {
 			model = packedModel
 		}
 		sync := &serviceWire{Kind: kindModelSync, Group: "alpha", Seq: 3,
-			Covered: 256, Model: model, Accept: acceptFloat32 | acceptDeflate}
+			Covered: 256, Model: model}
 		b.Run(fmt.Sprintf("modelsync/%s", v.name), func(b *testing.B) {
 			var size int
 			for i := 0; i < b.N; i++ {
-				payload, err := encodeServiceFrame(sync, v.opts)
+				payload, err := encodeServiceFrame(sync, v.f32)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -100,22 +95,13 @@ func BenchmarkWireBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameDecode measures the decode side of each wire format on the
-// same ingest frame, pooled inflater and float32 expansion included.
+// BenchmarkFrameDecode measures the decode side of each payload format on
+// the same ingest frame, float32 expansion included.
 func BenchmarkFrameDecode(b *testing.B) {
 	batch, labels := benchWireBatch(256, 8)
-	variants := []struct {
-		name string
-		opts frameOpts
-	}{
-		{"plain", frameOpts{}},
-		{"deflate", frameOpts{deflate: true}},
-		{"float32", frameOpts{f32: true}},
-		{"deflate+float32", frameOpts{deflate: true, f32: true}},
-	}
-	for _, v := range variants {
+	for _, v := range wireVariants {
 		payload, err := encodeServiceFrame(&serviceWire{ID: 1, Kind: kindIngest,
-			Group: "alpha", Batch: batch, Labels: labels}, v.opts)
+			Group: "alpha", Batch: batch, Labels: labels}, v.f32)
 		if err != nil {
 			b.Fatal(err)
 		}

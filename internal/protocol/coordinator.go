@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/perturb"
@@ -193,6 +194,10 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	for name, raw := range adaptors {
 		slots = append(slots, SlotAdaptor{SlotID: plan.Slots[name], Adaptor: raw})
 	}
+	// Map order would make the miner's unified record order differ run to
+	// run; slot order pins it. The miner knows every slot ID already, so
+	// the order reveals nothing new.
+	sort.Slice(slots, func(i, j int) bool { return slots[i].SlotID < slots[j].SlotID })
 	payload, err := encodeWire(&wire{Kind: MsgAdaptorMap, Slots: slots})
 	if err != nil {
 		return err

@@ -34,7 +34,7 @@ func TestSyncGossipDispatch(t *testing.T) {
 	ctx := testCtx(t)
 
 	row := RouteEntry{Group: "alpha", Node: "peer", Replicas: []string{"svc"}}
-	if err := SendSyncHello(ctx, peerConn, "svc", "alpha", 3, 2, 40, row, FrameOpts{}); err != nil {
+	if err := SendSyncHello(ctx, peerConn, "svc", "alpha", 3, 2, 40, row); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -47,7 +47,7 @@ func TestSyncGossipDispatch(t *testing.T) {
 		t.Fatal("hello never dispatched")
 	}
 
-	if err := SendSyncState(ctx, peerConn, "svc", "alpha", 5, 2, 44, row, FrameOpts{}); err != nil {
+	if err := SendSyncState(ctx, peerConn, "svc", "alpha", 5, 2, 44, row); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -120,7 +120,7 @@ func TestSyncCoveredBookkeeping(t *testing.T) {
 	defer stop()
 	ctx := testCtx(t)
 
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 9, encodeFittedKNN(t, 0.5, 7), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 9, encodeFittedKNN(t, 0.5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.installs", 1)
@@ -147,7 +147,7 @@ func TestSyncCoveredBookkeeping(t *testing.T) {
 	if err := svc.ReportSyncLag("alpha", 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 2, 13, encodeFittedKNN(t, 0.5, 8), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 2, 13, encodeFittedKNN(t, 0.5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.installs", 2)
@@ -197,7 +197,7 @@ func TestGroupRoleFlips(t *testing.T) {
 	if _, err := client.PushChunk(ctx, [][]float64{{1}}, []int{9}); err != nil {
 		t.Fatalf("promoted push err = %v", err)
 	}
-	if err := SendModelSync(ctx, oldConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 7), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, oldConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 1)
@@ -209,7 +209,7 @@ func TestGroupRoleFlips(t *testing.T) {
 	if _, err := client.PushChunk(ctx, [][]float64{{1}}, []int{9}); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("demoted push err = %v, want ErrNotLeader", err)
 	}
-	if err := SendModelSync(ctx, newConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 8), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, newConn, "replica", "alpha", 0, 1, 0, encodeFittedKNN(t, 0.5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.installs", 1)
@@ -233,7 +233,7 @@ func TestInspectFrame(t *testing.T) {
 	defer b.Close()
 	ctx := testCtx(t)
 
-	if err := SendModelSync(ctx, a, "b", "alpha", 0, 7, 21, []byte{1, 2, 3}, FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, a, "b", "alpha", 0, 7, 21, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := b.Recv(ctx)
@@ -247,7 +247,7 @@ func TestInspectFrame(t *testing.T) {
 	}
 
 	row := RouteEntry{Group: "alpha", Node: "a"}
-	if err := SendSyncHello(ctx, a, "b", "alpha", 3, 9, 12, row, FrameOpts{}); err != nil {
+	if err := SendSyncHello(ctx, a, "b", "alpha", 3, 9, 12, row); err != nil {
 		t.Fatal(err)
 	}
 	env, err = b.Recv(ctx)
@@ -297,7 +297,7 @@ func TestOnModelSyncHook(t *testing.T) {
 	defer stop()
 	ctx := testCtx(t)
 
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 4, encodeFittedKNN(t, 0.5, 7), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 4, encodeFittedKNN(t, 0.5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -312,7 +312,7 @@ func TestOnModelSyncHook(t *testing.T) {
 	// A replayed sequence is rejected as an install but still fires the
 	// hook: the duplicate came from the authenticated leader, so it is
 	// liveness evidence even though no model changed.
-	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 4, encodeFittedKNN(t, 0.5, 8), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, leaderConn, "replica", "alpha", 0, 1, 4, encodeFittedKNN(t, 0.5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -327,7 +327,7 @@ func TestOnModelSyncHook(t *testing.T) {
 
 	// An unauthorized sender is refused at routing, before the ingest lane:
 	// the hook must not treat an imposter's frames as the leader's pulse.
-	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 0, 9, 0, encodeFittedKNN(t, 0.5, 9), FrameOpts{}); err != nil {
+	if err := SendModelSync(ctx, rogueConn, "replica", "alpha", 0, 9, 0, encodeFittedKNN(t, 0.5, 9)); err != nil {
 		t.Fatal(err)
 	}
 	waitForCounter(t, reg, "service.alpha.sync.rejects", 2)

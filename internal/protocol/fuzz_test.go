@@ -7,15 +7,14 @@ import (
 )
 
 // FuzzDecodeFrame hardens service wire-frame decoding against arbitrary
-// payloads: real frames of every spoken version (v1–v6 classic and the
-// flagged v7 format with compressed and float32 bodies, cluster admin and
-// multi-level trust-view frames included), truncated and
-// bit-flipped frames, oversized version claims, and plain garbage. The
-// decoder must never panic and must keep its contract — a typed
-// ErrWireVersion outside the supported version range, nil/nil for
-// non-service payloads, and re-encodable frames on success.
+// payloads: real frames of every kind (float32-packed batches, cluster admin
+// and multi-level trust-view frames included) under the current version and
+// under every older version byte, truncated and bit-flipped frames, and
+// plain garbage. The decoder must never panic and must keep its contract — a
+// typed ErrWireVersion for any version byte but ServiceWireVersion, nil/nil
+// for non-service payloads, and re-encodable frames on success.
 func FuzzDecodeFrame(f *testing.F) {
-	// Corpus: real encoded frames, of each kind and era.
+	// Corpus: real encoded frames of each kind, restamped to a version byte.
 	seed := func(w *serviceWire, version byte) []byte {
 		payload, err := encodeServiceWire(w)
 		if err != nil {
@@ -70,8 +69,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			}}}
 	unknownView := &serviceWire{ID: 23, Response: true,
 		Code: codeUnknownView, Err: `group "alpha" serves no view 9`}
-	flagged := func(w *serviceWire, o frameOpts) []byte {
-		payload, err := encodeServiceFrame(w, o)
+	packed := func(w *serviceWire) []byte {
+		payload, err := encodeServiceFrame(w, true)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -82,36 +81,30 @@ func FuzzDecodeFrame(f *testing.F) {
 		adminRegister, adminEvict, adminUpdate, adminList, adminBadToken,
 		adminDenied, adminInfos, quotaReject,
 		viewClassify, viewIngest, viewSync, viewRegister, unknownView} {
-		for _, version := range []byte{1, 2, 3, 4, serviceWireClassicVersion} {
+		// A valid body under each retired version byte: all rejected.
+		for version := byte(1); version < ServiceWireVersion; version++ {
 			f.Add(seed(w, version))
 		}
-		// The flagged v7 format, in every body encoding it can negotiate.
-		f.Add(flagged(w, frameOpts{deflate: true}))
-		f.Add(flagged(w, frameOpts{f32: true}))
-		f.Add(flagged(w, frameOpts{deflate: true, f32: true}))
+		f.Add(seed(w, ServiceWireVersion))
+		f.Add(packed(w))
 	}
-	full := seed(classify, serviceWireClassicVersion)
-	f.Add(full[:2])                                                          // header only
-	f.Add(full[:len(full)/2])                                                // truncated mid-gob
-	f.Add(seed(classify, 0))                                                 // below the spoken range
-	f.Add(seed(classify, 99))                                                // far-future version
-	f.Add([]byte{})                                                          // empty
-	f.Add([]byte{serviceMagic})                                              // magic alone
-	f.Add([]byte("not a service frame"))                                     // foreign payload
-	f.Add(bytes.Repeat([]byte{serviceMagic, serviceWireClassicVersion}, 64)) // garbage gob body
-	compressed := flagged(classify, frameOpts{deflate: true, f32: true})
-	f.Add(compressed[:len(compressed)-3]) // torn deflate stream
+	full := seed(classify, ServiceWireVersion)
+	f.Add(full[:2])                                                   // header only
+	f.Add(full[:len(full)/2])                                         // truncated mid-gob
+	f.Add(seed(classify, 0))                                          // version 0
+	f.Add(seed(classify, 99))                                         // far-future version
+	f.Add([]byte{})                                                   // empty
+	f.Add([]byte{serviceMagic})                                       // magic alone
+	f.Add([]byte("not a service frame"))                              // foreign payload
+	f.Add(bytes.Repeat([]byte{serviceMagic, ServiceWireVersion}, 64)) // garbage gob body
+	torn := packed(classify)
+	f.Add(torn[:len(torn)-3]) // float32 batch cut short
 	regFrame := seed(adminRegister, ServiceWireVersion)
-	f.Add(regFrame[:len(regFrame)/2])                            // truncated admin register
-	f.Add(regFrame[:len(regFrame)-1])                            // admin register missing a byte
-	f.Add(seed(adminEvict, serviceWireClassicVersion))           // admin kind on a pre-v8 version byte
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion})       // v7 header without flags
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion, 0xFF}) // unknown flag bits
-	f.Add([]byte{serviceMagic, serviceWireFlaggedVersion, 0x01}) // deflate flag, empty body
+	f.Add(regFrame[:len(regFrame)/2]) // truncated admin register
+	f.Add(regFrame[:len(regFrame)-1]) // admin register missing a byte
 	viewFrame := seed(viewRegister, ServiceWireVersion)
-	f.Add(viewFrame[:len(viewFrame)/2])                  // truncated mid view list
-	f.Add(viewFrame[:len(viewFrame)-1])                  // view register missing a byte
-	f.Add(seed(viewClassify, serviceWireClassicVersion)) // view stamp on a pre-view version byte
+	f.Add(viewFrame[:len(viewFrame)/2]) // truncated mid view list
+	f.Add(viewFrame[:len(viewFrame)-1]) // view register missing a byte
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		w, err := decodeServiceWire(payload)
@@ -124,7 +117,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		version := payload[1]
-		supported := version >= serviceWireMinVersion && version <= ServiceWireVersion
+		supported := version == ServiceWireVersion
 		switch {
 		case err == nil:
 			// A clean decode must come from a spoken version, yield a
@@ -151,12 +144,15 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("round trip changed the frame: %+v vs %+v", w, w2)
 			}
 		case errors.Is(err, ErrWireVersion):
-			// Version rejections only fire outside the spoken range.
+			// Version rejections fire for every other version byte.
 			if supported {
 				t.Fatalf("v%d rejected as a version mismatch: %v", version, err)
 			}
 		case errors.Is(err, ErrBadMessage):
-			// Undecodable body on a spoken version; nothing to check.
+			// Undecodable body on the spoken version.
+			if !supported {
+				t.Fatalf("v%d answered %v, want ErrWireVersion", version, err)
+			}
 		default:
 			t.Fatalf("unexpected error class: %v", err)
 		}

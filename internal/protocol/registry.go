@@ -27,9 +27,9 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultGroup is the serving group pre-v4 frames (which carry no Group
-// field) route to, and the group NewMiningService registers its single
-// model under. Single-group deployments never need to name it.
+// DefaultGroup is the serving group frames with an empty Group route to,
+// and the group NewMiningService registers its single model under.
+// Single-group deployments never need to name it.
 const DefaultGroup = "default"
 
 // shardIngestQueueDepth bounds the per-group ingest queue between the
@@ -97,10 +97,11 @@ type GroupSpec struct {
 	// is the initial one; failover may flip it at runtime via SetGroupLead /
 	// SetGroupFollow.
 	SyncFrom string
-	// Float32 opts this group into float32 wire payloads where the peer
-	// accepts them: the cluster layer replicates the group's models as
-	// packed-float32 blobs (classify.EncodeModelFloat32) and clients built
-	// from a WithFloat32Payloads session pack their batches the same way.
+	// Float32 opts this group into float32 wire payloads: the cluster layer
+	// encodes each of the group's models once per publish round as a
+	// packed-float32 blob (classify.EncodeModelFloat32) and sends it to
+	// every replica, and clients built from a WithFloat32Payloads session
+	// pack their batches the same way.
 	// Precision narrows to float32 (~7 significant digits) on those frames;
 	// the group's perturbed data tolerates it by construction (the paper's
 	// noise floor dwarfs the quantization error), but the opt-in is per
@@ -817,14 +818,6 @@ type MiningService struct {
 	// (ServiceConfig.Routes, copied at construction; empty when standalone).
 	routes []RouteEntry
 
-	// peerCaps records the last wire-capability mask (serviceWire.Accept)
-	// each peer advertised, keyed by transport endpoint name, stamped with
-	// when it was seen (masks older than cfg.CapTTL count as zero). The
-	// serve loop writes it for every decoded frame carrying a non-zero
-	// mask; the response path and the cluster layer (FrameOptsFor) read it
-	// to decide which peers may be sent v7 compressed/float32 frames.
-	peerCaps sync.Map // string -> capStamp
-
 	// mUnknownGroup counts frames addressed to groups this service does not
 	// host — the one rejection with no shard namespace to land in.
 	mUnknownGroup metrics.Counter
@@ -1037,68 +1030,6 @@ func (s *MiningService) ReportSyncLag(group string, records int64) error {
 	return nil
 }
 
-// PeerAccept returns the last wire-capability mask the named peer advertised
-// (0 for peers never seen, older than v7, or whose advertisement has aged
-// past ServiceConfig.CapTTL — a peer downgraded in place goes classic again
-// once its last mask expires). Safe to call concurrently with Serve; the
-// cluster layer keys its replication framing off it.
-func (s *MiningService) PeerAccept(peer string) uint8 {
-	v, ok := s.peerCaps.Load(peer)
-	if !ok {
-		return 0
-	}
-	stamp := v.(capStamp)
-	if stamp.expired(s.cfg.CapTTL) {
-		return 0
-	}
-	return stamp.mask
-}
-
-// acceptMask is the capability advertisement this service stamps on every
-// response: float32 decoding is always safe; deflate is advertised only when
-// compression is enabled (both sides must opt in before frames compress).
-func (s *MiningService) acceptMask() uint8 {
-	m := acceptFloat32
-	if s.cfg.Compression {
-		m |= acceptDeflate
-	}
-	return m
-}
-
-// noteAccept records a peer's advertised capability mask with a fresh
-// timestamp (active peers never expire). Zero masks are not recorded (old
-// peers advertise nothing), so a capable mask, once observed, is never
-// clobbered by pre-upgrade traffic still in flight — only aged out by the
-// capability TTL once the peer stops advertising.
-func (s *MiningService) noteAccept(peer string, mask uint8) {
-	if mask != 0 && peer != "" {
-		s.peerCaps.Store(peer, capStamp{mask: mask, at: time.Now()})
-	}
-}
-
-// FrameOptsFor resolves the wire features to use toward one peer: the
-// intersection of this service's configuration (and, for float32, the
-// caller's per-group opt-in) with what the peer has advertised. Unseen or
-// pre-v7 peers resolve to the zero FrameOpts — classic plain frames.
-func (s *MiningService) FrameOptsFor(peer string, wantFloat32 bool) FrameOpts {
-	caps := s.PeerAccept(peer)
-	return FrameOpts{
-		Compress: s.cfg.Compression && caps&acceptDeflate != 0,
-		Float32:  wantFloat32 && caps&acceptFloat32 != 0,
-		accept:   s.acceptMask(),
-	}
-}
-
-// encodeResponse frames one response toward the peer that sent req: the
-// response advertises this service's capabilities and compresses only when
-// both sides opted in (req carried acceptDeflate and Compression is on).
-// req may be nil (undecodable-version rejections), which forces classic.
-func (s *MiningService) encodeResponse(req, resp *serviceWire) ([]byte, error) {
-	resp.Accept = s.acceptMask()
-	deflate := s.cfg.Compression && req != nil && req.Accept&acceptDeflate != 0
-	return encodeServiceFrame(resp, frameOpts{deflate: deflate})
-}
-
 // serviceJob is one accepted request travelling from the receive loop to the
 // addressed shard's prediction pool (classify) or ingest goroutine (ingest).
 type serviceJob struct {
@@ -1285,17 +1216,13 @@ func (s *MiningService) Serve(ctx context.Context) error {
 			if req != nil {
 				resp.ID, resp.Kind, resp.Group = req.ID, req.Kind, req.Group
 			}
-			if payload, encErr := s.encodeResponse(req, resp); encErr == nil {
+			if payload, encErr := encodeServiceWire(resp); encErr == nil {
 				out <- serviceOut{to: env.From, payload: payload}
 			}
 			continue
 		case err != nil || req.Response:
 			continue // undecodable or stray response frame; drop
 		}
-		// Every valid frame doubles as the sender's capability hello; record
-		// it before any branch so responses (and later cluster sends) to this
-		// peer can use the features it accepts.
-		s.noteAccept(env.From, req.Accept)
 		if req.Kind == kindRoutes {
 			// Discovery is service-wide, not group-routed: any node answers
 			// with the cluster table it was configured with (empty when
@@ -1308,7 +1235,7 @@ func (s *MiningService) Serve(ctx context.Context) error {
 			}
 			resp := &serviceWire{ID: req.ID, Kind: kindRoutes, Response: true,
 				Routes: entries, Epoch: epoch}
-			if payload, encErr := s.encodeResponse(req, resp); encErr == nil {
+			if payload, encErr := encodeServiceWire(resp); encErr == nil {
 				out <- serviceOut{to: env.From, payload: payload}
 			}
 			continue
@@ -1346,7 +1273,7 @@ func (s *MiningService) Serve(ctx context.Context) error {
 		}
 		s.mu.RUnlock()
 		if reject != nil {
-			if payload, encErr := s.encodeResponse(req, reject); encErr == nil {
+			if payload, encErr := encodeServiceWire(reject); encErr == nil {
 				out <- serviceOut{to: env.From, payload: payload}
 			}
 		}
@@ -1365,7 +1292,7 @@ func (s *MiningService) startShard(sh *modelShard) {
 		go func() {
 			defer sh.workerWg.Done()
 			for j := range sh.jobs {
-				payload, err := s.encodeResponse(j.req, sh.handle(j.req))
+				payload, err := encodeServiceWire(sh.handle(j.req))
 				if err != nil {
 					continue
 				}
@@ -1402,7 +1329,7 @@ func (s *MiningService) startShard(sh *modelShard) {
 			if resp == nil {
 				continue
 			}
-			payload, err := s.encodeResponse(j.req, resp)
+			payload, err := encodeServiceWire(resp)
 			if err != nil {
 				continue
 			}
@@ -1788,7 +1715,7 @@ func (s *MiningService) handleAdmin(req *serviceWire, from string) {
 
 // respond encodes and queues one admin response toward its requester.
 func (s *MiningService) respond(req *serviceWire, to string, resp *serviceWire) {
-	if payload, err := s.encodeResponse(req, resp); err == nil {
+	if payload, err := encodeServiceWire(resp); err == nil {
 		s.out <- serviceOut{to: to, payload: payload}
 	}
 }

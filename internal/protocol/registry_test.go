@@ -195,9 +195,10 @@ func TestGroupedServiceMemberIsolation(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesRouteToDefaultGroup stamps pre-v4 versions on otherwise
-// well-formed frames and checks they are served by the default group — the
-// backward-compatibility contract of the v4 router.
+// TestLegacyFramesRouteToDefaultGroup checks that a well-formed body under
+// any retired version byte (1–8) is answered with a typed wire-version
+// rejection that echoes its ID, and that a current frame with an empty Group
+// is served by the default group.
 func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 	net := transport.NewMemNetwork()
 	svcConn, _ := net.Endpoint("svc")
@@ -213,7 +214,8 @@ func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 	defer stop()
 	ctx := testCtx(t)
 
-	for _, version := range []byte{1, 2, 3} {
+	exchange := func(version byte) *serviceWire {
+		t.Helper()
 		payload, err := encodeServiceWire(&serviceWire{ID: uint64(version), Batch: [][]float64{{0.0}}})
 		if err != nil {
 			t.Fatal(err)
@@ -230,12 +232,23 @@ func TestLegacyFramesRouteToDefaultGroup(t *testing.T) {
 		if err != nil || resp == nil {
 			t.Fatalf("v%d: decode response: %v", version, err)
 		}
-		if resp.ID != uint64(version) || resp.Code != codeOK {
-			t.Fatalf("v%d: resp = %+v, want codeOK for ID %d", version, resp, version)
+		return resp
+	}
+	for version := byte(1); version < ServiceWireVersion; version++ {
+		resp := exchange(version)
+		if resp.ID != uint64(version) || resp.Code != codeWireVersion {
+			t.Fatalf("v%d: resp = %+v, want codeWireVersion for ID %d", version, resp, version)
 		}
-		if len(resp.Labels) != 1 || resp.Labels[0] != 0 {
-			t.Fatalf("v%d: labels = %v, want [0] (default group's model)", version, resp.Labels)
+		if err := responseErr(resp); !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("v%d: mapped err = %v, want ErrWireVersion", version, err)
 		}
+	}
+	resp := exchange(ServiceWireVersion)
+	if resp.ID != ServiceWireVersion || resp.Code != codeOK {
+		t.Fatalf("current frame: resp = %+v, want codeOK for ID %d", resp, ServiceWireVersion)
+	}
+	if len(resp.Labels) != 1 || resp.Labels[0] != 0 {
+		t.Fatalf("current frame: labels = %v, want [0] (default group's model)", resp.Labels)
 	}
 }
 

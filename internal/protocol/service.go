@@ -84,71 +84,11 @@ var (
 // miner's violation checks.
 const serviceMagic = 0x53 // 'S'
 
-// ServiceWireVersion is the current service frame version. Version 1 was
-// the unversioned single-record frame of the pre-batching service; version
-// 2 carried batches and typed error codes; version 3 added the Kind
-// discriminator so stream-ingest chunks share the frame format with
-// classification queries; version 4 added the Group routing field so one
-// miner process serves many contract groups side by side; version 5 added the
-// cluster admin frames — routing-table discovery (kindRoutes) and
-// leader-to-replica model sync (kindModelSync) — with their Routes, Model
-// and Seq fields; version 6 adds the durability gossip (kindSyncHello,
-// kindSyncState) with the Epoch and Covered fields, and stamps routes
-// responses with the table epoch; version 7 is the flagged frame format — a
-// flag byte between the header and the gob body selects per-frame DEFLATE
-// compression and marks packed-float32 batches; version 8 adds the admin
-// control plane (kindAdminRegister through kindAdminList with the Token,
-// Spec, Update and Infos fields) for registering, evicting and reconfiguring
-// serving groups on a live service.
-const ServiceWireVersion = 8
-
-// serviceWireFlaggedVersion is the version byte of flagged frames (the
-// format with a flag byte between header and body). It stays pinned at 7:
-// flagged frames are only ever sent to peers that advertised the matching
-// capability, and those peers recognize the flag byte by this exact version
-// value — re-stamping flagged frames with each version bump would break
-// every already-deployed v7 peer for no wire-level gain. Version-8 frames
-// use the classic (flagless) layout.
-const serviceWireFlaggedVersion = 7
-
-// serviceWireClassicVersion is the version byte of unflagged frames. Plain
-// frames keep this byte forever: a v7-capable sender emits the flagged
-// format only toward peers that have advertised the matching capability
-// (serviceWire.Accept), so v1–v6 peers — which would reject or drop a v7
-// frame — only ever see classic frames. The Accept field itself rides the
-// classic gob body, which old decoders skip silently; negotiation therefore
-// costs zero errors against any older peer.
-const serviceWireClassicVersion = 6
-
-// serviceWireMinVersion is the oldest frame version the service still
-// decodes. Pre-v4 frames carry no Group field and route to DefaultGroup, so
-// single-group deployments keep working against a sharded miner unchanged.
-const serviceWireMinVersion = 1
-
-// Flag bits of a flagged frame's flag byte (the third header byte, present
-// only when the version byte is serviceWireFlaggedVersion). Unknown bits
-// reject the frame as malformed.
-const (
-	// frameFlagDeflate marks the gob body as DEFLATE-compressed.
-	frameFlagDeflate uint8 = 1 << 0
-	// frameFlagFloat32 marks the frame's batch as packed float32
-	// (serviceWire.Batch32); informational — decoding keys off the field.
-	frameFlagFloat32 uint8 = 1 << 1
-)
-
-// Capability bits of serviceWire.Accept: what the sender is able to decode.
-// A sender uses a capability toward a peer only after observing it in the
-// peer's advertised mask.
-const (
-	// acceptDeflate: the peer decodes DEFLATE-compressed v7 frames and wants
-	// them (advertised only when compression is enabled on its side, so both
-	// sides must opt in before any frame compresses).
-	acceptDeflate uint8 = 1 << 0
-	// acceptFloat32: the peer decodes packed-float32 batches and float32
-	// model blobs. Advertised unconditionally by v7 code — decoding is
-	// always safe; whether to *send* float32 stays the sender's choice.
-	acceptFloat32 uint8 = 1 << 1
-)
+// ServiceWireVersion is the version byte of every service frame. One layout
+// carries every frame kind: the magic byte, this version byte, then the gob
+// body (serviceWire). A frame under any other version byte is answered with
+// ErrWireVersion.
+const ServiceWireVersion = 9
 
 // Wire error codes carried in service responses, mapped back to the typed
 // errors above by the client.
@@ -162,11 +102,8 @@ const (
 	codeRefit
 	codeUnknownGroup
 	codeNotMember
-	// codeBusy extends the code set without a wire-version bump on
-	// purpose: codes ride in a response field old decoders still parse, so
-	// a bump would not change how an old client maps an unknown code (it
-	// falls through to ErrServiceClosed either way) — it would only make
-	// new clients' requests unreadable to old services.
+	// codeBusy rejects a frame whose group queue was full; clients retry it
+	// under their Backoff.
 	codeBusy
 	// codeNotLeader rejects an ingest frame addressed to a read replica.
 	codeNotLeader
@@ -183,9 +120,7 @@ const (
 	// hosts.
 	codeGroupExists
 	// codeUnknownView rejects a frame addressing a trust view (level) the
-	// group does not serve. Like codeBusy it extends the code set without a
-	// wire-version bump: old clients map it to ErrServiceClosed, and the
-	// View field itself rides the gob body old decoders skip.
+	// group does not serve.
 	codeUnknownView
 )
 
@@ -206,42 +141,42 @@ const (
 	// sends no response — so a downed follower costs the leader one failed
 	// send, never a stalled wait.
 	kindModelSync
-	// kindSyncHello is the leader half of the v6 durability gossip: a
+	// kindSyncHello is the leader half of the durability gossip: a
 	// group's leader periodically announces its published Seq, table Epoch,
 	// ingest coverage (Covered) and routing-table row (Routes[0]) to each
 	// replica. A replica answers with kindSyncState, letting a restarted
 	// leader resume numbering above the replicas' installed sequences and a
 	// lagging replica measure its staleness. Fire-and-forget (ID 0).
 	kindSyncHello
-	// kindSyncState is the replica half of the v6 durability gossip: the
+	// kindSyncState is the replica half of the durability gossip: the
 	// replica's last installed Seq, Epoch and row. A leader floors its
 	// per-group sequence at the answered Seq (the restart handshake) and
 	// re-pushes the current model to any replica reporting an older one (the
 	// anti-entropy pull). Fire-and-forget (ID 0).
 	kindSyncState
-	// kindAdminRegister is the v8 control-plane frame that registers a new
+	// kindAdminRegister is the control-plane frame that registers a new
 	// serving group on a live service: the request's Spec carries the group
 	// definition (training records, encoded model, cadence, queues, quota),
 	// authenticated by Token. The service fits the model off the serving
 	// loop, starts the group's lanes, and answers codeOK — or
 	// codeGroupExists, codeAdminDenied, codeBadQuery.
 	kindAdminRegister
-	// kindAdminEvict is the v8 control-plane frame that removes a serving
+	// kindAdminEvict is the control-plane frame that removes a serving
 	// group: its ingest queue drains, queued classifies answer, the refit
 	// goroutine stops, and subsequent frames for the group are rejected with
 	// codeUnknownGroup.
 	kindAdminEvict
-	// kindAdminUpdate is the v8 control-plane frame that reconfigures a live
+	// kindAdminUpdate is the control-plane frame that reconfigures a live
 	// group in place: the request's Update names which limits change (quota,
 	// batch cap, refit cadence, members ACL) without touching the rest.
 	kindAdminUpdate
-	// kindAdminList is the v8 control-plane frame that asks a service for
+	// kindAdminList is the control-plane frame that asks a service for
 	// its hosted groups; the response's Infos describes each one.
 	kindAdminList
 )
 
-// isAdminControl reports whether a frame kind belongs to the v8 admin
-// control plane (authenticated, handled off the group router).
+// isAdminControl reports whether a frame kind belongs to the admin control
+// plane (authenticated, handled off the group router).
 func isAdminControl(kind uint8) bool {
 	return kind >= kindAdminRegister && kind <= kindAdminList
 }
@@ -293,15 +228,13 @@ type serviceWire struct {
 	// stream-ingest chunks (kindIngest).
 	Kind uint8
 	// Group names the serving group (contract) the frame addresses. Empty
-	// on pre-v4 frames and on clients of single-group services; the router
-	// maps it to DefaultGroup.
+	// on clients of single-group services; the router maps it to
+	// DefaultGroup.
 	Group string
 	// View names the trust level the frame addresses within a multi-level
 	// group (GroupSpec.Views). Zero — the wire default, which gob omits —
-	// routes to the sender's highest-authorized view, so every frame from a
-	// view-unaware client keeps its exact pre-view bytes and behavior. It
-	// rides the gob body, silently skipped by old decoders; no wire-version
-	// bump. On kindModelSync frames it names the view the blob installs to.
+	// routes to the sender's highest-authorized view. On kindModelSync frames
+	// it names the view the blob installs to.
 	View int
 	// Batch carries the records, already transformed into the group's
 	// target space by the caller (providers know G_t; the miner never sees
@@ -335,20 +268,14 @@ type serviceWire struct {
 	// sequence) covers; replicas derive staleness_records from the gap
 	// between a hello's Covered and their own installed coverage.
 	Covered int64
-	// Accept advertises the sender's wire capabilities (acceptDeflate,
-	// acceptFloat32) on every frame, making the first request/response pair
-	// double as the compression hello/ack. It rides the gob body, so v1–v6
-	// decoders skip it silently; its zero value (an old or plain peer) makes
-	// every capability decision fall back to classic plain frames.
-	Accept uint8
 	// Batch32 is the packed-float32 form of Batch (little-endian, Dim
-	// features per record), sent only to peers advertising acceptFloat32.
+	// features per record), sent by clients that chose float32 payloads.
 	// The decoder expands it back into Batch and clears it, so everything
 	// past the frame codec sees one canonical batch representation.
 	Batch32 []byte
 	// Dim is the per-record feature count of Batch32.
 	Dim int
-	// Token authenticates v8 admin frames (kindAdminRegister through
+	// Token authenticates admin frames (kindAdminRegister through
 	// kindAdminList) against the service's configured admin token. Never set
 	// on serving frames.
 	Token string
@@ -376,19 +303,6 @@ func IsServiceFrame(payload []byte) bool {
 	return len(payload) >= 2 && payload[0] == serviceMagic
 }
 
-// frameDeflate is the CompressCodec every compressed v7 frame body runs
-// through — the protocol-layer stacking of transport.CompressCodec inside
-// whatever link codec (AES on TCP) seals the frame afterwards. One shared
-// instance so its pooled flate writers/readers amortize across all
-// connections; its Open inherits the codec's zip-bomb frame cap.
-var frameDeflate = func() *transport.CompressCodec {
-	c, err := transport.NewCompressCodec(nil, transport.DefaultLevel)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}()
-
 // encBufPool recycles the gob encode buffers of the service and SAP frame
 // encoders. Encoders write into a pooled buffer and copy the exact-size
 // payload out, so the steady state allocates one right-sized payload per
@@ -398,29 +312,17 @@ var frameDeflate = func() *transport.CompressCodec {
 // the peer's independent per-frame decoder.)
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// frameOpts selects the wire features of one encoded frame. The zero value
-// is the classic v6 framing every peer decodes; non-zero options emit the
-// flagged v7 format and must only be used toward peers whose Accept mask
-// advertised the matching capability.
-type frameOpts struct {
-	deflate bool // DEFLATE-compress the gob body (v7 + frameFlagDeflate)
-	f32     bool // pack Batch as float32 (v7 + frameFlagFloat32)
-}
-
 func encodeServiceWire(w *serviceWire) ([]byte, error) {
-	return encodeServiceFrame(w, frameOpts{})
+	return encodeServiceFrame(w, false)
 }
 
-func encodeServiceFrame(w *serviceWire, o frameOpts) ([]byte, error) {
-	if isAdminControl(w.Kind) && !w.Response {
-		// Admin requests always ride the classic (flagless) layout so a
-		// pre-v8 peer can decode them far enough to reject them typed (see
-		// the version stamp below); negotiated compression never applies.
-		o = frameOpts{}
-	}
-	if o.f32 && len(w.Batch) > 0 {
+// encodeServiceFrame frames w as [serviceMagic][ServiceWireVersion][gob]. f32
+// sends the batch as packed float32 (Batch32) on a copy of w, so a retry loop
+// may re-encode the same frame.
+func encodeServiceFrame(w *serviceWire, f32 bool) ([]byte, error) {
+	if f32 && len(w.Batch) > 0 {
 		if b32, dim := matrix.PackFloat32Rows(w.Batch); dim > 0 {
-			cp := *w // callers may retry with the same frame; never mutate it
+			cp := *w
 			cp.Batch32, cp.Dim = b32, dim
 			cp.Batch = nil
 			w = &cp
@@ -429,83 +331,32 @@ func encodeServiceFrame(w *serviceWire, o frameOpts) ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	defer encBufPool.Put(buf)
 	buf.Reset()
+	buf.Write([]byte{serviceMagic, ServiceWireVersion})
 	if err := gob.NewEncoder(buf).Encode(w); err != nil {
 		return nil, fmt.Errorf("protocol: encode service frame: %w", err)
 	}
-	body := buf.Bytes()
-	if o.deflate {
-		deflated, err := frameDeflate.Seal(body)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: compress service frame: %w", err)
-		}
-		body = deflated
-	}
-	flags := uint8(0)
-	if o.deflate {
-		flags |= frameFlagDeflate
-	}
-	if len(w.Batch32) > 0 {
-		flags |= frameFlagFloat32
-	}
-	if flags == 0 {
-		version := byte(serviceWireClassicVersion)
-		if isAdminControl(w.Kind) && !w.Response {
-			// Admin requests announce the version that introduced them. Old
-			// services still gob-decode the body (unknown fields skip), hit
-			// their unsupported-version path with the frame ID intact, and
-			// answer a typed codeWireVersion — so an admin client pointed at
-			// a pre-v8 miner gets ErrWireVersion, not a hang.
-			version = ServiceWireVersion
-		}
-		out := make([]byte, 2+len(body))
-		out[0], out[1] = serviceMagic, version
-		copy(out[2:], body)
-		return out, nil
-	}
-	out := make([]byte, 3+len(body))
-	out[0], out[1], out[2] = serviceMagic, serviceWireFlaggedVersion, flags
-	copy(out[3:], body)
-	return out, nil
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // decodeServiceWire unpacks a service frame. A nil frame with a nil error
-// means "not a service frame, ignore". Versions serviceWireMinVersion
-// through ServiceWireVersion decode as the current struct (gob tolerates
-// missing fields, so pre-v4 frames simply carry an empty Group). A frame
-// claiming a version outside that range returns the frame ID when
-// recoverable so the peer can be answered with a typed error.
+// means "not a service frame, ignore". A frame under any version byte but
+// ServiceWireVersion returns ErrWireVersion, together with the decoded frame
+// when its body is readable, so the peer can be answered by frame ID.
 func decodeServiceWire(payload []byte) (*serviceWire, error) {
 	if !IsServiceFrame(payload) {
 		return nil, nil
 	}
 	version := payload[1]
-	supported := version >= serviceWireMinVersion && version <= ServiceWireVersion
-	body := payload[2:]
-	if version == serviceWireFlaggedVersion {
-		// Flagged frames interpose a flag byte between the header and the
-		// body. The layout is pinned to version 7; v8 frames are classic.
-		if len(payload) < 3 {
-			return nil, fmt.Errorf("%w: v7 frame lacks its flag byte", ErrBadMessage)
-		}
-		flags := payload[2]
-		if flags&^(frameFlagDeflate|frameFlagFloat32) != 0 {
-			return nil, fmt.Errorf("%w: unknown v7 frame flags %#x", ErrBadMessage, flags)
-		}
-		body = payload[3:]
-		if flags&frameFlagDeflate != 0 {
-			inflated, err := frameDeflate.Open(body)
-			if err != nil {
-				return nil, fmt.Errorf("%w: inflate frame: %v", ErrBadMessage, err)
-			}
-			body = inflated
-		}
-	}
 	var w serviceWire
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&w); err != nil {
-		if !supported {
-			return nil, fmt.Errorf("%w: got v%d, speak v%d-v%d",
-				ErrWireVersion, version, serviceWireMinVersion, ServiceWireVersion)
+	err := gob.NewDecoder(bytes.NewReader(payload[2:])).Decode(&w)
+	if version != ServiceWireVersion {
+		verr := fmt.Errorf("%w: got v%d, speak v%d", ErrWireVersion, version, ServiceWireVersion)
+		if err != nil {
+			return nil, verr
 		}
+		return &w, verr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if len(w.Batch32) > 0 {
@@ -521,12 +372,6 @@ func decodeServiceWire(payload []byte) (*serviceWire, error) {
 			w.Batch = batch
 		}
 		w.Batch32, w.Dim = nil, 0
-	}
-	if !supported {
-		// The frame decoded (gob skips unknown fields) but the peer speaks
-		// another version; answer it with a typed rejection.
-		return &w, fmt.Errorf("%w: got v%d, speak v%d-v%d",
-			ErrWireVersion, version, serviceWireMinVersion, ServiceWireVersion)
 	}
 	return &w, nil
 }
@@ -551,13 +396,6 @@ type ServiceConfig struct {
 	// set until the next triggered refit — useful when a deployment refits
 	// on its own schedule). GroupSpec.RefitEvery overrides it per group.
 	RefitEvery int
-	// Compression enables negotiated DEFLATE frame compression: the service
-	// advertises the capability on every response (serviceWire.Accept) and
-	// compresses responses to peers whose requests advertised it back.
-	// Off (the default), frames stay classic and the service never
-	// advertises — so a fleet upgrades one side at a time with zero errors,
-	// and v1–v6 peers are never shown a v7 frame either way.
-	Compression bool
 	// Metrics receives the service's instrumentation: per-group request,
 	// ingest and refit counters under the "service.<group>." namespace plus
 	// the service-wide unknown-group rejection count (see ARCHITECTURE.md
@@ -578,7 +416,7 @@ type ServiceConfig struct {
 	// and its freshly published classifier. Groups without explicit
 	// GroupSpec.Views report view 0 (their sole implicit view), so a
 	// replicator may stamp the reported value on sync frames verbatim:
-	// single-view groups keep their pre-view wire bytes. The cluster layer
+	// single-view groups need no view bookkeeping. The cluster layer
 	// hooks it to replicate the new models to the group's read replicas. It
 	// runs on the group's refit goroutine, so it must not block; hand the
 	// model off and return.
@@ -597,20 +435,12 @@ type ServiceConfig struct {
 	// dropped is not deposed while its models keep arriving. It runs on the
 	// group's ingest goroutine and must not block.
 	OnModelSync func(group, from string, seq uint64)
-	// AdminToken enables the v8 admin control plane: admin frames whose
+	// AdminToken enables the admin control plane: admin frames whose
 	// Token matches (constant-time compare) may register, evict, update and
 	// list serving groups at runtime. Empty (the default) disables the
 	// control plane entirely — every admin frame answers ErrAdminDenied —
 	// so a service is never administrable by accident.
 	AdminToken string
-	// CapTTL bounds how long a peer's advertised capability mask
-	// (serviceWire.Accept) is honored without being re-observed: after the
-	// TTL a peer downgraded in place — its name re-pointed at an older or
-	// plain-configured binary — stops receiving flagged v7 frames instead
-	// of receiving them until restart. Every frame from the peer refreshes
-	// the stamp, so active peers never expire. Zero selects DefaultCapTTL;
-	// negative disables expiry.
-	CapTTL time.Duration
 	// RefitRetry is how long a group waits after a failed background refit
 	// before re-attempting it from the same training snapshot, so a
 	// transient fit failure heals without waiting for the next ingest to
@@ -662,12 +492,6 @@ const DefaultMaxBatch = 4096
 // DefaultRefitEvery is the ingest refit cadence applied when
 // ServiceConfig.RefitEvery is zero.
 const DefaultRefitEvery = 256
-
-// DefaultCapTTL is the capability-mask lifetime applied when
-// ServiceConfig.CapTTL (or WireOptions.CapTTL) is zero: long enough that a
-// chatty peer never expires mid-conversation, short enough that a peer
-// downgraded in place stops receiving flagged frames within minutes.
-const DefaultCapTTL = 10 * time.Minute
 
 // DefaultRefitRetry is the failed-refit retry delay applied when
 // ServiceConfig.RefitRetry is zero.
@@ -729,9 +553,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.RefitEvery == 0 {
 		c.RefitEvery = DefaultRefitEvery
 	}
-	if c.CapTTL == 0 {
-		c.CapTTL = DefaultCapTTL
-	}
 	if c.RefitRetry == 0 {
 		c.RefitRetry = DefaultRefitRetry
 	}
@@ -761,16 +582,13 @@ type ServiceClient struct {
 	// backoff is the busy-retry policy applied by ClassifyBatch and
 	// PushChunk; configured with SetBackoff before the first request.
 	backoff Backoff
-	// wire selects the negotiated wire features the client wants to use;
-	// configured with SetWireOptions before the first request. Each feature
-	// engages per miner only after that miner advertises the matching
-	// capability (caps), so the first request to any peer is always classic.
+	// wire selects the client's payload format; configured with
+	// SetWireOptions before the first request.
 	wire WireOptions
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan *serviceWire
-	caps    map[string]capStamp // peer endpoint -> last advertised Accept mask
 	failed  bool
 	cause   error
 
@@ -803,7 +621,6 @@ func NewGroupServiceClient(conn transport.Conn, miner, group string) (*ServiceCl
 		miner:    miner,
 		group:    group,
 		pending:  make(map[uint64]chan *serviceWire),
-		caps:     make(map[string]capStamp),
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		stopRecv: stop,
@@ -834,78 +651,19 @@ func (c *ServiceClient) SetView(level int) { c.view = level }
 // highest-authorized view).
 func (c *ServiceClient) View() int { return c.view }
 
-// WireOptions selects the negotiated wire features a ServiceClient wants to
-// use toward its miners. Each feature only engages per peer after that peer
-// advertises the matching capability on a response, so enabling options
-// against a v6 (or plain-configured) service changes nothing — frames stay
-// classic and no errors occur.
+// WireOptions selects the payload format of a ServiceClient's frames. It is
+// the sender's own choice: every service decodes both the float64 and the
+// packed-float32 batch forms.
 type WireOptions struct {
-	// Compress asks for DEFLATE frame compression both ways: requests
-	// compress once the peer advertises support, and the client's own
-	// advertisement invites the peer to compress its responses.
-	Compress bool
-	// Float32 packs classify/ingest batches as float32 toward peers that
-	// accept it, halving batch bytes at float32 precision (~7 significant
-	// digits — see the WithFloat32Payloads precision contract).
+	// Float32 packs every classify/ingest batch as float32, halving batch
+	// bytes at float32 precision (~7 significant digits — see the
+	// WithFloat32Payloads precision contract).
 	Float32 bool
-	// CapTTL bounds how long a peer's advertised capability mask is honored
-	// without being re-observed, so a miner downgraded in place stops
-	// receiving flagged frames once its last advertisement ages out. Zero
-	// selects DefaultCapTTL; negative disables expiry.
-	CapTTL time.Duration
 }
 
-// capStamp is one peer's last advertised capability mask and when it was
-// observed; masks older than the configured CapTTL count as zero.
-type capStamp struct {
-	mask uint8
-	at   time.Time
-}
-
-// expired reports whether the stamp has outlived ttl (zero ttl selects
-// DefaultCapTTL, negative never expires).
-func (s capStamp) expired(ttl time.Duration) bool {
-	if ttl == 0 {
-		ttl = DefaultCapTTL
-	}
-	return ttl > 0 && s.mask != 0 && time.Since(s.at) > ttl
-}
-
-// SetWireOptions replaces the client's wire-feature selection. Call it
-// before issuing requests — it is not synchronized against in-flight calls.
+// SetWireOptions replaces the client's payload format. Call it before
+// issuing requests — it is not synchronized against in-flight calls.
 func (c *ServiceClient) SetWireOptions(o WireOptions) { c.wire = o }
-
-// acceptMask is the capability advertisement stamped on every request:
-// float32 decoding is always safe, deflate is advertised only when the
-// client itself opted into compression (both sides must opt in).
-func (c *ServiceClient) acceptMask() uint8 {
-	m := acceptFloat32
-	if c.wire.Compress {
-		m |= acceptDeflate
-	}
-	return m
-}
-
-// frameOptsFor resolves which negotiated features to use toward one miner:
-// the intersection of what the client wants (wire) and what that peer last
-// advertised (caps). An unseen peer — or one whose advertisement has aged
-// past the capability TTL — gets classic frames.
-func (c *ServiceClient) frameOptsFor(miner string) frameOpts {
-	if !c.wire.Compress && !c.wire.Float32 {
-		return frameOpts{}
-	}
-	c.mu.Lock()
-	peer := c.caps[miner]
-	c.mu.Unlock()
-	mask := peer.mask
-	if peer.expired(c.wire.CapTTL) {
-		mask = 0
-	}
-	return frameOpts{
-		deflate: c.wire.Compress && mask&acceptDeflate != 0,
-		f32:     c.wire.Float32 && mask&acceptFloat32 != 0,
-	}
-}
 
 // retryBusy runs one request attempt through the client's backoff policy:
 // busy rejections are retried with capped exponential delays, any other
@@ -958,13 +716,6 @@ func (c *ServiceClient) recvLoop(ctx context.Context) {
 			continue
 		}
 		c.mu.Lock()
-		if resp.Accept != 0 && env.From != "" {
-			// The response doubles as the capability ack: record what this
-			// peer can decode so the next request to it may use v7 features.
-			// The stamp refreshes on every response, so the TTL only expires
-			// peers that went silent (or stopped advertising).
-			c.caps[env.From] = capStamp{mask: resp.Accept, at: time.Now()}
-		}
 		ch, ok := c.pending[resp.ID]
 		if ok {
 			delete(c.pending, resp.ID)
@@ -1080,8 +831,7 @@ func (c *ServiceClient) classifyBatchOnce(ctx context.Context, miner, group stri
 		return nil, err
 	}
 	payload, err := encodeServiceFrame(
-		&serviceWire{ID: id, Group: group, View: c.view, Batch: batch, Accept: c.acceptMask()},
-		c.frameOptsFor(miner))
+		&serviceWire{ID: id, Group: group, View: c.view, Batch: batch}, c.wire.Float32)
 	if err != nil {
 		c.unregister(id)
 		return nil, err
@@ -1105,16 +855,14 @@ func (c *ServiceClient) classifyBatchOnce(ctx context.Context, miner, group stri
 }
 
 // roundTrip sends one request frame to a peer and blocks for its response
-// frame: the ID is allocated and stamped here, as is the client's capability
-// advertisement. Callers own mapping the response's code to a typed error.
+// frame: the ID is allocated and stamped here. Callers own mapping the response's code to a typed error.
 func (c *ServiceClient) roundTrip(ctx context.Context, to string, w *serviceWire) (*serviceWire, error) {
 	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
 	}
 	w.ID = id
-	w.Accept = c.acceptMask()
-	payload, err := encodeServiceFrame(w, c.frameOptsFor(to))
+	payload, err := encodeServiceWire(w)
 	if err != nil {
 		c.unregister(id)
 		return nil, err
@@ -1159,9 +907,7 @@ func (c *ServiceClient) TableAt(ctx context.Context, node string) ([]RouteEntry,
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := encodeServiceFrame(
-		&serviceWire{ID: id, Kind: kindRoutes, Accept: c.acceptMask()},
-		c.frameOptsFor(node))
+	payload, err := encodeServiceWire(&serviceWire{ID: id, Kind: kindRoutes})
 	if err != nil {
 		c.unregister(id)
 		return nil, 0, err
@@ -1228,7 +974,7 @@ func (c *ServiceClient) pushChunkOnce(ctx context.Context, miner, group string, 
 	}
 	payload, err := encodeServiceFrame(&serviceWire{
 		ID: id, Kind: kindIngest, Group: group, View: c.view, Batch: batch,
-		Labels: labels, Accept: c.acceptMask()}, c.frameOptsFor(miner))
+		Labels: labels}, c.wire.Float32)
 	if err != nil {
 		c.unregister(id)
 		return 0, err
@@ -1290,25 +1036,6 @@ func responseErr(resp *serviceWire) error {
 	}
 }
 
-// FrameOpts selects the negotiated wire features for one outbound
-// fire-and-forget frame (SendModelSync, SendSyncHello, SendSyncState). The
-// zero value emits classic plain frames. Obtain non-zero options from
-// MiningService.FrameOptsFor, which intersects the service's own
-// configuration with what the target peer has advertised — hand-rolled
-// options toward an unverified peer can produce frames it cannot decode.
-type FrameOpts struct {
-	// Compress DEFLATE-compresses the frame body (v7 framing).
-	Compress bool
-	// Float32 reports that the target accepts float32 payloads; the frame
-	// batch (if any) packs to float32 and callers may select float32 model
-	// blobs (classify.EncodeModelFloat32).
-	Float32 bool
-	// accept is the sender's own capability mask, stamped on the frame so
-	// fire-and-forget gossip teaches the receiver the sender's capabilities
-	// even though no response will flow back.
-	accept uint8
-}
-
 // SendModelSync streams one encoded classifier (classify.EncodeModel format)
 // to a follower node as a fire-and-forget kindModelSync frame: ID 0 tells
 // the follower to send no response, so a downed or slow follower costs the
@@ -1320,16 +1047,16 @@ type FrameOpts struct {
 // count the model's fit covers, installed alongside it so staleness can be
 // measured in records. The cluster layer's replication publisher is the
 // intended caller.
-func SendModelSync(ctx context.Context, conn transport.Conn, to, group string, view int, seq uint64, covered int64, model []byte, opts FrameOpts) error {
+func SendModelSync(ctx context.Context, conn transport.Conn, to, group string, view int, seq uint64, covered int64, model []byte) error {
 	if group == "" {
 		return fmt.Errorf("%w: model sync without a group", ErrBadConfig)
 	}
 	if len(model) == 0 {
 		return fmt.Errorf("%w: model sync without a model", ErrBadConfig)
 	}
-	payload, err := encodeServiceFrame(&serviceWire{
+	payload, err := encodeServiceWire(&serviceWire{
 		Kind: kindModelSync, Group: group, View: view, Seq: seq, Covered: covered,
-		Model: model, Accept: opts.accept}, frameOpts{deflate: opts.Compress})
+		Model: model})
 	if err != nil {
 		return err
 	}
@@ -1340,25 +1067,24 @@ func SendModelSync(ctx context.Context, conn transport.Conn, to, group string, v
 // replica: its published sequence, table epoch, ingest coverage and current
 // routing-table row. Fire-and-forget (ID 0); the replica's answer, if any,
 // arrives as an independent kindSyncState frame.
-func SendSyncHello(ctx context.Context, conn transport.Conn, to, group string, seq, epoch uint64, covered int64, row RouteEntry, opts FrameOpts) error {
-	return sendSyncGossip(ctx, conn, to, kindSyncHello, group, seq, epoch, covered, row, opts)
+func SendSyncHello(ctx context.Context, conn transport.Conn, to, group string, seq, epoch uint64, covered int64, row RouteEntry) error {
+	return sendSyncGossip(ctx, conn, to, kindSyncHello, group, seq, epoch, covered, row)
 }
 
 // SendSyncState answers a replica's durability state for one group to its
 // leader: the last installed sequence, the replica's table epoch and row.
 // Fire-and-forget (ID 0).
-func SendSyncState(ctx context.Context, conn transport.Conn, to, group string, seq, epoch uint64, covered int64, row RouteEntry, opts FrameOpts) error {
-	return sendSyncGossip(ctx, conn, to, kindSyncState, group, seq, epoch, covered, row, opts)
+func SendSyncState(ctx context.Context, conn transport.Conn, to, group string, seq, epoch uint64, covered int64, row RouteEntry) error {
+	return sendSyncGossip(ctx, conn, to, kindSyncState, group, seq, epoch, covered, row)
 }
 
-func sendSyncGossip(ctx context.Context, conn transport.Conn, to string, kind uint8, group string, seq, epoch uint64, covered int64, row RouteEntry, opts FrameOpts) error {
+func sendSyncGossip(ctx context.Context, conn transport.Conn, to string, kind uint8, group string, seq, epoch uint64, covered int64, row RouteEntry) error {
 	if group == "" {
 		return fmt.Errorf("%w: sync gossip without a group", ErrBadConfig)
 	}
-	payload, err := encodeServiceFrame(&serviceWire{
+	payload, err := encodeServiceWire(&serviceWire{
 		Kind: kind, Group: group, Seq: seq, Epoch: epoch, Covered: covered,
-		Routes: []RouteEntry{row}, Accept: opts.accept},
-		frameOpts{deflate: opts.Compress})
+		Routes: []RouteEntry{row}})
 	if err != nil {
 		return err
 	}

@@ -562,8 +562,18 @@ func TestServiceWireGarbageIgnored(t *testing.T) {
 	if err := cliConn.Send(ctx, "svc", []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cliConn.Send(ctx, "svc", []byte{serviceMagic, serviceWireFlaggedVersion, 0xff, 0x01}); err != nil {
+	// A retired version byte with an unreadable body: the service answers it
+	// with a typed rejection and keeps serving.
+	if err := cliConn.Send(ctx, "svc", []byte{serviceMagic, 7, 0xff, 0x01}); err != nil {
 		t.Fatal(err)
+	}
+	env, err := cliConn.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeServiceWire(env.Payload)
+	if err != nil || resp == nil || !resp.Response || resp.Code != codeWireVersion {
+		t.Fatalf("retired-version frame answered (%+v, %v), want a codeWireVersion response", resp, err)
 	}
 	client, err := NewServiceClient(cliConn, "svc")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,6 +83,35 @@ func TestEvaluatePrivacy(t *testing.T) {
 	}
 	if _, err := sap.EvaluatePrivacy(d, p, 6, -1); !errors.Is(err, sap.ErrBadInput) {
 		t.Fatalf("bad pairs err = %v", err)
+	}
+}
+
+// TestRunRecordOrderIsPinned runs the same five-party SAP session five
+// times at one seed: the miner's unified dataset must come out identical,
+// record order included, every time.
+func TestRunRecordOrderIsPinned(t *testing.T) {
+	pool, err := sap.GenerateDataset("Iris", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parties, err := sap.Split(pool, 5, sap.PartitionUniform, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *sap.Dataset
+	for run := 0; run < 5; run++ {
+		res, err := sap.Run(runCtx(t), sap.WithParties(parties...), sap.WithSeed(5), sap.WithOptimizer(2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := res.Unified()
+		if first == nil {
+			first = u
+			continue
+		}
+		if !reflect.DeepEqual(u.X, first.X) || !reflect.DeepEqual(u.Y, first.Y) {
+			t.Fatalf("run %d unified a different dataset (or order) than run 0", run)
+		}
 	}
 }
 

@@ -168,16 +168,6 @@ func groupSpecs(groups []Group) ([]protocol.GroupSpec, protocol.ServiceConfig, e
 			break
 		}
 	}
-	// Compression is likewise a property of the miner process (it gates
-	// what the service advertises and accepts), so any group's
-	// WithCompression turns it on service-wide; float32 payloads stay per
-	// group via each spec's Float32.
-	for _, g := range groups {
-		if g.Session.cfg.compress {
-			cfg.Compression = true
-			break
-		}
-	}
 	// The admin token arms the whole process's control plane, so like the
 	// metrics sink it is first-carrier-wins across the groups.
 	for _, g := range groups {
