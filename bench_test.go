@@ -557,9 +557,8 @@ func BenchmarkIngestUnderRefit(b *testing.B) {
 }
 
 // BenchmarkStreamThroughput measures the streaming ingestion pipeline's
-// hot path — chunking, running covariance updates, perturbation and space
-// adaptation — as perturbed records per second, across chunk sizes and with
-// drift watching on and off.
+// hot path — chunking and target-space perturbation with fresh noise — as
+// perturbed records per second, across chunk sizes.
 func BenchmarkStreamThroughput(b *testing.B) {
 	const n, d = 4096, 8
 	rng := rand.New(rand.NewSource(1))
@@ -577,35 +576,26 @@ func BenchmarkStreamThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pert, err := perturb.NewRandom(rng, d, 0.05)
+	target, err := perturb.NewRandom(rng, d, 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}
-	targetNoisy, err := perturb.NewRandom(rng, d, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := targetNoisy.WithoutNoise()
 
 	for _, cfg := range []struct {
 		name  string
 		chunk int
-		drift float64
 	}{
-		{"chunk64", 64, 0},
-		{"chunk256", 256, 0},
-		{"chunk256-drift", 256, 0.25},
-		{"chunk1024", 1024, 0},
+		{"chunk64", 64},
+		{"chunk256", 256},
+		{"chunk1024", 1024},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				pipe, err := stream.New(stream.Config{
-					Perturbation:   pert,
-					Target:         target,
-					Rng:            rand.New(rand.NewSource(int64(i))),
-					ChunkSize:      cfg.chunk,
-					DriftThreshold: cfg.drift,
+					Target:    target,
+					Rng:       rand.New(rand.NewSource(int64(i))),
+					ChunkSize: cfg.chunk,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -7,8 +7,9 @@
 // providers query it (-query) with records transformed into the target
 // space — the paper's "data mining services for the contracted parties".
 // Providers may also stream fresh labeled records into the serving miner's
-// training set (-stream, chunked by -chunk, drift-adaptive with -drift); the
-// miner folds them in and refits its model every -refit records.
+// training set (-stream, chunked by -chunk, perturbed with the target
+// transform and the provider's -sigma); the miner folds them in and refits
+// its model every -refit records.
 //
 // One miner process can host several contract groups side by side: -groups
 // id=unified.csv,... serves one independent model shard per stored unified
@@ -26,7 +27,7 @@
 //
 // Any role can expose its operational metrics with -metrics-addr: GET
 // /metrics returns the per-group request/ingest/refit counters (miner) or
-// the streaming pipeline's chunk/drift counters (provider) as a JSON
+// the streaming pipeline's chunk/record counters (provider) as a JSON
 // snapshot, and GET /healthz answers liveness probes.
 //
 // Example 4-party run on one host (see examples/tcpcluster for a scripted
@@ -108,7 +109,6 @@ func run(args []string) error {
 		batchSize   = fs.Int("batch", 64, "records per query frame for -query (provider)")
 		streamPath  = fs.String("stream", "", "after the run, stream this labeled CSV into the serving miner's training set (provider)")
 		chunkSize   = fs.Int("chunk", 256, "records per streamed chunk for -stream (provider)")
-		drift       = fs.Float64("drift", 0, "relative covariance drift triggering a transform re-derivation for -stream (0 disables)")
 		refitEvery  = fs.Int("refit", 0, "streamed records accumulated before the served model refits (miner with -serve; 0 selects the default, <0 disables)")
 		group       = fs.String("group", "", "serving group id: the group the miner serves its result under, and the group providers stamp on -query/-stream frames (empty selects the default group)")
 		groupsFlag  = fs.String("groups", "", "comma-separated id=unified.csv list; the miner serves one model shard per stored unified dataset, skipping the protocol run (miner with -serve)")
@@ -220,8 +220,8 @@ func run(args []string) error {
 		}
 		fmt.Println("provider done: dataset exchanged, adaptor delivered")
 		if *streamPath != "" {
-			if err := streamToService(ctx, node, *miner, *group, pert, prov.Target(), rng,
-				*streamPath, *chunkSize, *drift, sink, wire); err != nil {
+			if err := streamToService(ctx, node, *miner, *group, prov.Target(), pert.NoiseSigma, rng,
+				*streamPath, *chunkSize, sink, wire); err != nil {
 				return err
 			}
 		}
@@ -707,12 +707,11 @@ func serveLoop(svc interface{ Serve(context.Context) error }, banner string, d t
 }
 
 // streamToService streams a labeled CSV into the serving miner's training
-// set: records are re-chunked, perturbed with the provider's own
-// perturbation, adapted into the target space, and pushed one chunk per
-// round trip. With -drift set, the pipeline re-derives its transform when
-// the input distribution drifts.
+// set: records are re-chunked, perturbed straight into the target space
+// with G_t and fresh noise of the provider's σ, and pushed one chunk per
+// round trip.
 func streamToService(ctx context.Context, conn transport.Conn, miner, group string,
-	pert, target *perturb.Perturbation, rng *rand.Rand, path string, chunk int, drift float64,
+	target *perturb.Perturbation, sigma float64, rng *rand.Rand, path string, chunk int,
 	sink metrics.Metrics, wire protocol.WireOptions) error {
 	if miner == "" {
 		return fmt.Errorf("missing -miner")
@@ -729,13 +728,13 @@ func streamToService(ctx context.Context, conn transport.Conn, miner, group stri
 	if err != nil {
 		return err
 	}
+	target = target.Clone()
+	target.NoiseSigma = sigma
 	pipe, err := stream.New(stream.Config{
-		Perturbation:   pert,
-		Target:         target,
-		Rng:            rng,
-		ChunkSize:      chunk,
-		DriftThreshold: drift,
-		Metrics:        sink,
+		Target:    target,
+		Rng:       rng,
+		ChunkSize: chunk,
+		Metrics:   sink,
 	})
 	if err != nil {
 		return err
@@ -775,8 +774,8 @@ func streamToService(ctx context.Context, conn transport.Conn, miner, group stri
 	if err := <-done; err != nil {
 		return err
 	}
-	fmt.Printf("streamed %d records in %d chunks (%d re-derivations); service training set now %d records\n",
-		pushed, chunks, pipe.Epoch(), total)
+	fmt.Printf("streamed %d records in %d chunks; service training set now %d records\n",
+		pushed, chunks, total)
 	return nil
 }
 

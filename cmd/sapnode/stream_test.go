@@ -52,7 +52,7 @@ func TestStreamSessionOverTCP(t *testing.T) {
 		"-data", shards[2], "-providers", "dp1,dp2", "-miner", "miner", "-peers", peerList("coord")})
 	launch([]string{"-role", "provider", "-name", "dp1", "-listen", p1Addr,
 		"-data", shards[0], "-coordinator", "coord", "-miner", "miner", "-peers", peerList("dp1"),
-		"-stream", shards[0], "-chunk", "16", "-drift", "0.4",
+		"-stream", shards[0], "-chunk", "16",
 		"-query", shards[0], "-batch", "16"})
 	launch([]string{"-role", "provider", "-name", "dp2", "-listen", p2Addr,
 		"-data", shards[1], "-coordinator", "coord", "-miner", "miner", "-peers", peerList("dp2")})

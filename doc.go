@@ -20,12 +20,12 @@
 //     pluggable transports (in-memory hub, AES-GCM-sealed TCP).
 //   - Streaming ingestion: providers keep feeding freshly collected records
 //     through a chunked perturbation pipeline into the live service, which
-//     grows its training set and refits on a cadence — with drift-watched
-//     transform re-derivation when the arriving distribution shifts.
-//     Refits run in the background: a fresh model instance is fitted off
-//     to the side and atomically swapped in, so ingest and queries never
-//     wait on a retrain, and a failed refit leaves the previous fit
-//     serving (reported once as ErrRefit).
+//     grows its training set and refits on a cadence. Each arriving record
+//     is perturbed once, straight into the target space with G_t and fresh
+//     noise. Refits run in the background: a fresh model instance is
+//     fitted off to the side and atomically swapped in, so ingest and
+//     queries never wait on a retrain, and a failed refit leaves the
+//     previous fit serving (reported once as ErrRefit).
 //   - Sharded multi-group serving: one miner process hosts many contract
 //     groups (ServeGroups), each a session with its own target space,
 //     model shard, prediction pool, batch cap, refit cadence and optional
@@ -61,7 +61,7 @@
 //     counters, gauges and timing histograms into the serving and
 //     streaming layers — per-group requests, batch sizes, ingest volume,
 //     queue depth, refit counts and durations, rejections, stream chunks
-//     and drift re-derivations — exportable as a JSON snapshot
+//     and records — exportable as a JSON snapshot
 //     (Metrics.Snapshot, or over HTTP via sapnode -metrics-addr, which
 //     also answers /healthz liveness probes).
 //   - One service frame layout: every frame is the magic byte, the wire
@@ -98,13 +98,10 @@
 //     never sees clear data.
 //  4. Stream: data keeps arriving after unification. Session.Stream runs a
 //     chunked perturbation pipeline over a StreamSource — records are
-//     perturbed with a stream-local transform, adapted into the target
-//     space, and emitted through a bounded buffer — and Session.StreamTo
-//     pushes every chunk into the serving miner, whose model refits every
-//     WithServiceRefitEvery records. The pipeline tracks the running
-//     covariance of the clear input (Welford/rank-1 accumulators) and,
-//     when WithDriftThreshold is set, re-derives its transform as the
-//     distribution drifts.
+//     perturbed straight into the target space with G_t and fresh noise of
+//     the session's σ, and emitted through a bounded buffer — and
+//     Session.StreamTo pushes every chunk into the serving miner, whose
+//     model refits every WithServiceRefitEvery records.
 //
 // # Streaming quickstart
 //
@@ -116,7 +113,7 @@
 //	// Provider side: push freshly collected records as they arrive.
 //	pushed, _ := sess.StreamTo(ctx, provConn, "mining-service",
 //		sap.DatasetSource(fresh),
-//		sap.WithChunkSize(64), sap.WithDriftThreshold(0.5))
+//		sap.WithChunkSize(64))
 //
 // # Multi-group serving
 //

@@ -213,11 +213,8 @@ func ExampleSession_Stream() {
 	}
 
 	// Stream the freshly collected records: each emitted chunk is already
-	// perturbed and adapted into the session's target space.
-	st, err := sess.Stream(ctx, sap.DatasetSource(fresh),
-		sap.WithChunkSize(16),
-		sap.WithDriftThreshold(0.5),
-	)
+	// perturbed into the session's target space.
+	st, err := sess.Stream(ctx, sap.DatasetSource(fresh), sap.WithChunkSize(16))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -229,6 +226,7 @@ func ExampleSession_Stream() {
 		log.Fatal(err)
 	}
 	fmt.Printf("every fresh record streamed through the pipeline: %v\n", records == fresh.Len())
+	// Output: every fresh record streamed through the pipeline: true
 }
 
 // Example_streaming shows the full continuous-ingestion deployment: the
@@ -287,6 +285,7 @@ func Example_streaming() {
 		log.Fatal(err)
 	}
 	fmt.Printf("service training set grew by every streamed record: %v\n", pushed == fresh.Len())
+	// Output: service training set grew by every streamed record: true
 }
 
 // ExampleOptimizePerturbation shows single-party perturbation optimization

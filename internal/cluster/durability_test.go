@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -23,26 +22,12 @@ import (
 // (sequence handshake), partitions (anti-entropy), frame duplication and
 // reordering (install idempotency) and leader silence (failover).
 
-// reserveAddr picks a free loopback port and releases it, so a node can bind
-// the same address on every restart while its peers keep their cached
-// address books.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// chaosNode is one fixture node: the reserved address it rebinds on every
-// boot, the fault proxy peers dial instead, the Proc controlling its
+// chaosNode is one fixture node: the fault proxy peers dial instead of the
+// node (retargeted at the fresh port the node binds on every boot, so
+// peers keep their cached address books), the Proc controlling its
 // lifecycle, and the current incarnation's Node and metrics registry.
 type chaosNode struct {
 	name  string
-	addr  string
 	proxy *faultnet.Proxy
 	proc  *faultnet.Proc
 
@@ -87,13 +72,12 @@ func newChaos(t *testing.T, table *Table, names []string, specs func() []protoco
 	c := &chaos{t: t, table: table, specs: specs, svc: svc, ae: ae, grace: grace,
 		order: names, nodes: make(map[string]*chaosNode), extra: make(map[string]string)}
 	for _, name := range names {
-		addr := reserveAddr(t)
-		proxy, err := faultnet.Listen(addr)
+		proxy, err := faultnet.Listen("") // targeted at every boot
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { proxy.Close() })
-		cn := &chaosNode{name: name, addr: addr, proxy: proxy}
+		cn := &chaosNode{name: name, proxy: proxy}
 		cn.proc = &faultnet.Proc{Boot: c.bootFor(cn)}
 		c.nodes[name] = cn
 	}
@@ -102,10 +86,11 @@ func newChaos(t *testing.T, table *Table, names []string, specs func() []protoco
 
 func (c *chaos) bootFor(cn *chaosNode) faultnet.BootFunc {
 	return func() (func(context.Context) error, func(), error) {
-		conn, err := transport.NewTCPNode(cn.name, cn.addr, nil)
+		conn, err := transport.NewTCPNode(cn.name, "127.0.0.1:0", nil)
 		if err != nil {
 			return nil, nil, err
 		}
+		cn.proxy.SetTarget(conn.Addr())
 		for _, other := range c.order {
 			if other != cn.name {
 				conn.AddPeer(other, c.nodes[other].proxy.Addr())
@@ -147,12 +132,11 @@ func (c *chaos) startAll() {
 // Call before startAll so nodes learn the peer's address at boot.
 func (c *chaos) peer(name string) *transport.TCPNode {
 	c.t.Helper()
-	addr := reserveAddr(c.t)
-	c.extra[name] = addr
-	conn, err := transport.NewTCPNode(name, addr, nil)
+	conn, err := transport.NewTCPNode(name, "127.0.0.1:0", nil)
 	if err != nil {
 		c.t.Fatal(err)
 	}
+	c.extra[name] = conn.Addr()
 	c.t.Cleanup(func() { _ = conn.Close() })
 	for _, other := range c.order {
 		conn.AddPeer(other, c.nodes[other].proxy.Addr())
@@ -286,16 +270,19 @@ func TestLeaderRestartHandshake(t *testing.T) {
 }
 
 // holdSyncConn wraps a node's endpoint and parks its first model-sync send
-// until release is closed, closing held once the send is parked.
+// after the first skip ones until release is closed, closing held once the
+// send is parked.
 type holdSyncConn struct {
 	transport.Conn
+	skip    atomic.Int32
 	once    sync.Once
 	held    chan struct{}
 	release chan struct{}
 }
 
 func (c *holdSyncConn) Send(ctx context.Context, to string, payload []byte) error {
-	if info, ok := protocol.InspectFrame(payload); ok && info.Kind == protocol.KindModelSync {
+	if info, ok := protocol.InspectFrame(payload); ok && info.Kind == protocol.KindModelSync &&
+		c.skip.Add(-1) < 0 {
 		first := false
 		c.once.Do(func() { first = true })
 		if first {
@@ -383,6 +370,90 @@ func TestPublishStampsReplicasBeforeSend(t *testing.T) {
 	leader.mu.Unlock()
 	if owed != 0 {
 		t.Fatalf("a state answer racing the in-flight publish scheduled %d re-push(es), want 0", owed)
+	}
+	releaseHold()
+}
+
+// TestAntiEntropyStampsReplicasBeforeSend is the anti-entropy twin of
+// TestPublishStampsReplicasBeforeSend: a replica's state answer that arrives
+// while the leader's re-push is still in flight reports the sequence the
+// re-push is repairing, and must not schedule a second re-push.
+func TestAntiEntropyStampsReplicasBeforeSend(t *testing.T) {
+	table, err := NewStaticTable([]protocol.RouteEntry{
+		{Group: "g-a", Node: "n1", Replicas: []string{"n2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewMemNetwork()
+	raw, _ := net.Endpoint("n1")
+	conn := &holdSyncConn{Conn: raw, held: make(chan struct{}), release: make(chan struct{})}
+	conn.skip.Store(1)                   // the refit's publish goes out; the re-push is parked
+	replicaConn, _ := net.Endpoint("n2") // the test speaks for the replica
+	defer replicaConn.Close()
+	cliConn, _ := net.Endpoint("cli")
+	defer cliConn.Close()
+
+	reg := metrics.NewRegistry()
+	leader, err := NewNode(NodeConfig{Name: "n1", Conn: conn, Table: table,
+		Groups: oneGroupSpecs(t)(), AntiEntropyEvery: time.Minute,
+		Service: protocol.ServiceConfig{RefitEvery: 4, Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = leader.Serve(ctx)
+	}()
+	var releaseOnce sync.Once
+	releaseHold := func() { releaseOnce.Do(func() { close(conn.release) }) }
+	t.Cleanup(func() {
+		releaseHold()
+		cancel()
+		<-done
+		_ = conn.Close()
+	})
+
+	leader.mu.Lock()
+	row := leader.rows["g-a"]
+	leader.mu.Unlock()
+	staleState := protocol.SyncGossip{From: "n2", Group: "g-a", Seq: 0, Epoch: row.Epoch, Row: &row}
+	leader.handleGossip(ctx, staleState) // the handshake floors the numbering
+
+	cli, err := protocol.NewGroupServiceClient(cliConn, "n1", "g-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	xs, ys := chunkAt(2, 50)
+	if _, err := cli.PushChunk(testCtx(t), xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the refit's publish", func() bool {
+		return counterOf(reg, "cluster.sync_published") == 1
+	})
+
+	// The publish was lost in flight: age its stamp past the two-round
+	// window, so the replica's next answer (still seq 0) earns a re-push.
+	leader.mu.Lock()
+	leader.lastSync["g-a"]["n2"] = time.Now().Add(-time.Hour)
+	leader.mu.Unlock()
+	leader.handleGossip(ctx, staleState)
+	select {
+	case <-conn.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the anti-entropy re-push was never sent")
+	}
+
+	// The re-push of seq 1 is in flight; the replica's answer still
+	// reports seq 0.
+	leader.handleGossip(ctx, staleState)
+	leader.mu.Lock()
+	owed := len(leader.repush["g-a"])
+	leader.mu.Unlock()
+	if owed != 0 {
+		t.Fatalf("a state answer racing the in-flight re-push scheduled %d more re-push(es), want 0", owed)
 	}
 	releaseHold()
 }

@@ -95,6 +95,12 @@ func TestProxyRelaysFrames(t *testing.T) {
 	if got := recvFrame(t, srv); string(got) != "hello" {
 		t.Fatalf("relayed frame = %q, want %q", got, "hello")
 	}
+	// The relay counts a frame once its write returns, which can trail the
+	// collector's read of it.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Forwarded() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if p.Forwarded() != 1 || p.Dropped() != 0 {
 		t.Fatalf("forwarded/dropped = %d/%d, want 1/0", p.Forwarded(), p.Dropped())
 	}

@@ -65,14 +65,14 @@ const (
 type Hook func(dir Dir, frame []byte) Verdict
 
 // Proxy is one fault-injectable TCP relay: it listens on its own loopback
-// port and forwards whole frames to a fixed target address, dialing the
-// target per accepted connection. Point peers at Addr() instead of the
+// port and forwards whole frames to a target address, dialing the target
+// per accepted connection. Point peers at Addr() instead of the
 // node's real address and every frame to the node becomes interceptable.
 type Proxy struct {
-	target string
-	ln     net.Listener
+	ln net.Listener
 
 	mu          sync.Mutex
+	target      string
 	hook        Hook
 	delay       time.Duration
 	partitioned bool
@@ -106,6 +106,15 @@ func Listen(target string) (*Proxy, error) {
 // Addr returns the proxy's listening address — the address to hand peers in
 // place of the target's.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+
+// SetTarget points relays accepted from now on at addr; live relays keep
+// their connection. A node that binds a fresh port on every boot retargets
+// its proxy, so peers keep dialing one stable address.
+func (p *Proxy) SetTarget(addr string) {
+	p.mu.Lock()
+	p.target = addr
+	p.mu.Unlock()
+}
 
 // SetHook installs (or, with nil, removes) the frame hook. Takes effect for
 // the next frame on every connection.
@@ -204,9 +213,10 @@ func (p *Proxy) acceptLoop() {
 			p.mu.Unlock()
 			continue
 		}
+		target := p.target
 		p.mu.Unlock()
 
-		dst, err := net.DialTimeout("tcp", p.target, 2*time.Second)
+		dst, err := net.DialTimeout("tcp", target, 2*time.Second)
 		if err != nil {
 			// Target down: refuse the relay immediately so the peer's send
 			// fails fast instead of hanging.

@@ -160,8 +160,9 @@ type Node struct {
 	// in flight (or queued behind the replica's ingest lane) reports the old
 	// sequence — re-pushing on that evidence just earns an idempotent
 	// reject. A publish stamps every replica under the same lock that
-	// advances modelSeq, and again once each send returns, so no state
-	// answer can fall between the two. A genuinely lost frame still reports
+	// advances modelSeq (an anti-entropy re-push, under the lock that reads
+	// it), and again once each send returns, so no state answer can fall
+	// between the two. A genuinely lost frame still reports
 	// behind on the next round, after the window, and is repaired then.
 	lastSync map[string]map[string]time.Time
 	contact  map[string]time.Time // followed group -> last leader contact
@@ -771,10 +772,21 @@ func (n *Node) publishPending(ctx context.Context) {
 		seq := n.modelSeq[group]
 		cov := n.modelCov[group]
 		f32 := n.f32[group]
-		n.mu.Unlock()
 		if row.Node != n.name || seq == 0 {
+			n.mu.Unlock()
 			continue
 		}
+		// Stamp every target before the lock drops, as the publish loop
+		// does: a state answer arriving while a re-push is in flight still
+		// reports the old sequence and must not schedule a duplicate.
+		var replicas []string
+		for _, replica := range row.Replicas {
+			if _, owed := targets[replica]; owed {
+				replicas = append(replicas, replica)
+				n.noteSyncSentLocked(group, replica)
+			}
+		}
+		n.mu.Unlock()
 		views, err := n.svc.GroupViewModels(group)
 		if err != nil {
 			continue
@@ -785,10 +797,7 @@ func (n *Node) publishPending(ctx context.Context) {
 				n.mSyncErrors.Inc()
 				continue
 			}
-			for replica := range targets {
-				if !contains(row.Replicas, replica) {
-					continue
-				}
+			for _, replica := range replicas {
 				sctx, scancel := context.WithTimeout(ctx, syncSendTimeout)
 				err := protocol.SendModelSync(sctx, n.conn, replica, group, vm.Level, seq, cov, blob)
 				scancel()

@@ -4,7 +4,7 @@
 // exported as JSON. The serving loop (internal/protocol) and the streaming
 // pipeline (internal/stream) resolve their instruments once at construction
 // and update them with single atomic operations on the hot path, so a
-// deployment can watch requests, ingest, refits and drift without touching
+// deployment can watch requests, ingest, refits and streams without touching
 // test helpers — and the nop implementation keeps the cost at one predictable
 // virtual call when nobody is watching.
 package metrics

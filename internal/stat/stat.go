@@ -1,12 +1,10 @@
 // Package stat provides the statistics substrate for the SAP reproduction:
 // descriptive moments, quantiles, histograms, covariance/correlation, and
-// streaming accumulators: the scalar Welford accumulator and the vector
-// rank-1 covariance accumulator (CovAccumulator) that lets internal/stream
-// watch a data stream's geometry without revisiting past records. The privacy
-// guarantee of the paper's §2.2 is a statistic too (the standard deviation
-// of the best attacker's estimation error), so the attack suite leans on
-// this package throughout. All randomized helpers take an explicit
-// *rand.Rand so every experiment is reproducible from a seed.
+// the scalar Welford streaming accumulator. The privacy guarantee of the
+// paper's §2.2 is a statistic too (the standard deviation of the best
+// attacker's estimation error), so the attack suite leans on this package
+// throughout. All randomized helpers take an explicit *rand.Rand so every
+// experiment is reproducible from a seed.
 package stat
 
 import (

@@ -1,36 +1,26 @@
 // Package stream perturbs data that arrives incrementally instead of as one
 // fixed batch, extending the paper's §2 geometric perturbation
 // G(X) = RX + Ψ + Δ to continuous ingestion (in the spirit of multiplicative
-// perturbation over data streams; see PAPERS.md, Chhinkaniwala & Garg).
+// perturbation over data streams; see PAPERS.md, Chhinkaniwala & Garg, who
+// perturb each tuple once, on arrival, with one transform).
 //
 // A Pipeline pulls chunks of clear records from a Source, re-chunks them to
-// a configured size, perturbs each chunk with a stream-local perturbation
-// G_s, and immediately re-expresses it in the unified target space G_t
-// through the §3 space adaptor A_st — so every emitted chunk can be appended
-// to a serving miner's unified training set without the miner ever seeing
-// clear data. Emission goes through a bounded buffer: a slow consumer
+// a configured size, and perturbs each chunk straight into the unified
+// target space with G_t(X) = R_t·X + Ψ_t + Δ, so every emitted chunk can be
+// appended to a serving miner's unified training set without the miner ever
+// seeing clear data. Emission goes through a bounded buffer: a slow consumer
 // backpressures the producer instead of growing memory without bound.
 //
-// While streaming, the pipeline maintains the covariance of the most recent
-// window of clear input (stat.WindowedCov — a deque of Welford/rank-1 chunk
-// accumulators with whole-chunk eviction, Config.DriftWindow). When that
-// windowed covariance has drifted from the snapshot taken at the last
-// derivation by more than a configured relative Frobenius threshold, the
-// pipeline re-derives: it draws a fresh G_s′ and a fresh adaptor A_s′t, and bumps the
-// chunk epoch. Re-derivation changes which rotated noise the target space
-// inherits — the defensive posture follows the data — but every epoch still
-// lands in the same target space, so downstream consumers are oblivious.
-// With drift re-derivation disabled and σ = 0 the concatenated output equals
-// the batch transform G_t(X) exactly.
+// Applying G_t directly loses nothing against perturbing in a stream-local
+// space G_s and adapting into G_t: by the §3 complementary-noise identity
+// the adapted row is R_t·x + Ψ_t + R_t·R_sᵀ·δ, and with R_t·R_sᵀ orthogonal
+// and δ iid N(0, σ²) that rotated noise has exactly the distribution of
+// fresh σ noise — whatever G_s is. With σ = 0 the concatenated output
+// equals the batch transform G_t(X) exactly.
 //
-// Privacy posture: stream-space transforms are Haar-random draws, not
-// outputs of the §2.2 attack-suite optimizer — running the optimizer per
-// chunk (or per re-derivation) is incompatible with the ingestion hot path.
-// A caller that needs streamed records to meet an optimizer-vetted
-// guarantee should pass an optimized perturbation as Config.Perturbation
-// (cmd/sapnode's -stream does) and treat drift re-derivations, which draw
-// random replacements, as a signal to re-optimize out of band; see the
-// ROADMAP open item on optimizer-vetted stream transforms.
+// Privacy posture: the miner receives G_t-perturbed records from a named
+// provider, so their guarantee is G_t's on that data and the paper's Eq. 1
+// applies with source identifiability π = 1, not SAP's 1/(k−1).
 package stream
 
 import (
@@ -45,7 +35,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/perturb"
-	"repro/internal/stat"
 )
 
 // Defaults applied by Config.withDefaults.
@@ -56,9 +45,6 @@ const (
 	// DefaultBufferDepth is the emitted-chunk buffer capacity when
 	// Config.BufferDepth is zero.
 	DefaultBufferDepth = 4
-	// DefaultDriftWindow is the drift statistic's record window when
-	// Config.DriftWindow is zero.
-	DefaultDriftWindow = 4096
 )
 
 // Errors returned by the streaming pipeline.
@@ -102,44 +88,26 @@ func (s *datasetSource) Next(ctx context.Context) (*dataset.Dataset, error) {
 type Chunk struct {
 	// Seq numbers chunks from 0 in emission order.
 	Seq int
-	// Epoch counts transform derivations; it starts at 0 and increments
-	// every time drift triggers a re-derivation.
-	Epoch int
-	// Drift is the relative covariance drift measured when the chunk was
-	// cut (0 until enough records are in to measure).
-	Drift float64
 	// Data holds the perturbed records (target space) with their labels.
 	Data *dataset.Dataset
 }
 
 // Config assembles a Pipeline.
 type Config struct {
-	// Perturbation is the initial stream-space perturbation G_s (its σ is
-	// reused by re-derived transforms). Required.
-	Perturbation *perturb.Perturbation
-	// Target is the unified target perturbation G_t the emitted chunks are
-	// adapted into. Required; same dimension as Perturbation.
+	// Target is the unified target perturbation G_t every chunk is
+	// perturbed with, carrying the stream's noise σ. Required; it is read,
+	// not copied, so it must not change while the pipeline runs.
 	Target *perturb.Perturbation
-	// Rng drives the noise draws and the re-derived transforms. Required.
+	// Rng drives the noise draws. Required.
 	Rng *rand.Rand
 	// ChunkSize is the records-per-chunk target (default DefaultChunkSize).
 	ChunkSize int
-	// DriftThreshold is the relative covariance drift that triggers a
-	// transform re-derivation; 0 disables re-derivation.
-	DriftThreshold float64
-	// DriftWindow bounds how many recent records the drift statistic is
-	// computed over (default DefaultDriftWindow; chunk-granular, so up to
-	// one extra chunk is retained). A windowed statistic keeps late drift
-	// detectable on old streams — a lifetime covariance is dominated by a
-	// long stable prefix. Negative restores the unbounded lifetime
-	// accumulator of earlier releases.
-	DriftWindow int
 	// BufferDepth is the emitted-chunk buffer capacity (default
 	// DefaultBufferDepth). A full buffer blocks the producer.
 	BufferDepth int
 	// Metrics receives the pipeline's instrumentation under the "stream."
-	// namespace: chunks/records emitted, drift re-derivations, and the
-	// emitted-chunk buffer occupancy. Nil discards all updates.
+	// namespace: chunks/records emitted and the emitted-chunk buffer
+	// occupancy. Nil discards all updates.
 	Metrics metrics.Metrics
 }
 
@@ -150,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.BufferDepth <= 0 {
 		c.BufferDepth = DefaultBufferDepth
 	}
-	if c.DriftWindow == 0 {
-		c.DriftWindow = DefaultDriftWindow
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.Nop()
 	}
@@ -160,63 +125,35 @@ func (c Config) withDefaults() Config {
 }
 
 // Pipeline is one streaming perturbation run. Construct with New, start with
-// Run, consume from Out. Counters (Records, Epoch) may be read concurrently
-// with a running pipeline.
+// Run, consume from Out. Records may be read concurrently with a running
+// pipeline.
 type Pipeline struct {
 	cfg     Config
-	pert    *perturb.Perturbation
-	adaptor *perturb.Adaptor
-	acc     *stat.WindowedCov
-	// ref is the covariance snapshot at the last derivation (nil until the
-	// first measurable covariance after a derivation).
-	ref *matrix.Dense
-
 	out     chan Chunk
 	records atomic.Int64
-	epoch   atomic.Int64
 
 	// Instruments, resolved once at construction under the "stream."
 	// namespace so the per-chunk cost is a few atomic updates.
-	mChunks        metrics.Counter // chunks emitted
-	mRecords       metrics.Counter // records emitted
-	mRederivations metrics.Counter // drift-triggered transform re-derivations
-	mBuffer        metrics.Gauge   // emitted-chunk buffer occupancy
+	mChunks  metrics.Counter // chunks emitted
+	mRecords metrics.Counter // records emitted
+	mBuffer  metrics.Gauge   // emitted-chunk buffer occupancy
 }
 
 // New validates the configuration and assembles an unstarted pipeline.
 func New(cfg Config) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Perturbation == nil || cfg.Target == nil {
-		return nil, fmt.Errorf("%w: missing perturbation or target", ErrBadConfig)
-	}
-	if cfg.Perturbation.Dim() != cfg.Target.Dim() {
-		return nil, fmt.Errorf("%w: stream dim %d vs target dim %d",
-			ErrBadConfig, cfg.Perturbation.Dim(), cfg.Target.Dim())
+	if cfg.Target == nil {
+		return nil, fmt.Errorf("%w: missing target", ErrBadConfig)
 	}
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("%w: missing rng", ErrBadConfig)
 	}
-	if cfg.DriftThreshold < 0 {
-		return nil, fmt.Errorf("%w: negative drift threshold %v", ErrBadConfig, cfg.DriftThreshold)
-	}
-	adaptor, err := perturb.NewAdaptor(cfg.Perturbation, cfg.Target)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := stat.NewWindowedCov(cfg.Perturbation.Dim(), cfg.DriftWindow)
-	if err != nil {
-		return nil, err
-	}
 	p := &Pipeline{
-		cfg:     cfg,
-		pert:    cfg.Perturbation.Clone(),
-		adaptor: adaptor,
-		acc:     acc,
-		out:     make(chan Chunk, cfg.BufferDepth),
+		cfg: cfg,
+		out: make(chan Chunk, cfg.BufferDepth),
 
-		mChunks:        cfg.Metrics.Counter("stream.chunks"),
-		mRecords:       cfg.Metrics.Counter("stream.records"),
-		mRederivations: cfg.Metrics.Counter("stream.rederivations"),
+		mChunks:  cfg.Metrics.Counter("stream.chunks"),
+		mRecords: cfg.Metrics.Counter("stream.records"),
 	}
 	// Buffer occupancy is a property of the emitted-chunk channel, which
 	// both the producer and external consumers move: a pushed gauge updated
@@ -243,12 +180,8 @@ func (p *Pipeline) Out() <-chan Chunk { return p.out }
 // Records returns the number of records emitted so far.
 func (p *Pipeline) Records() int { return int(p.records.Load()) }
 
-// Epoch returns the current transform generation (0-based; equals the number
-// of drift re-derivations so far).
-func (p *Pipeline) Epoch() int { return int(p.epoch.Load()) }
-
 // Dim returns the record dimensionality the pipeline accepts.
-func (p *Pipeline) Dim() int { return p.pert.Dim() }
+func (p *Pipeline) Dim() int { return p.cfg.Target.Dim() }
 
 // Run pulls the source dry, perturbing and emitting chunks until the source
 // returns io.EOF (nil result), the context is cancelled, or an error occurs.
@@ -260,11 +193,11 @@ func (p *Pipeline) Run(ctx context.Context, src Source) error {
 	}
 	seq := 0
 	// pending accumulates source records until a full chunk is cut. The
-	// buffer owns its rows outright — each incoming row is copied on
-	// arrival, since a Source is free to reuse its slices between Next
-	// calls — and is compacted in place at every cut, so a long stream
-	// recycles one bounded backing array instead of marching the slice
-	// window through an ever-growing one.
+	// buffer owns its rows outright — each incoming batch is copied on
+	// arrival into one backing array, since a Source is free to reuse its
+	// slices between Next calls — and is compacted in place at every cut,
+	// so a long stream recycles one bounded slice of row headers instead of
+	// marching the slice window through an ever-growing one.
 	var pendX [][]float64
 	var pendY []int
 
@@ -274,7 +207,7 @@ func (p *Pipeline) Run(ctx context.Context, src Source) error {
 			if n > len(pendX) {
 				n = len(pendX)
 			}
-			chunk, err := p.emit(ctx, seq, pendX[:n], pendY[:n])
+			chunk, err := p.emit(seq, pendX[:n], pendY[:n])
 			if err != nil {
 				return err
 			}
@@ -310,8 +243,12 @@ func (p *Pipeline) Run(ctx context.Context, src Source) error {
 		if in.Dim() != p.Dim() {
 			return fmt.Errorf("%w: source chunk dim %d, pipeline dim %d", ErrDim, in.Dim(), p.Dim())
 		}
-		for _, row := range in.X {
-			pendX = append(pendX, append([]float64(nil), row...))
+		d := p.Dim()
+		rows := make([]float64, len(in.X)*d)
+		for i, row := range in.X {
+			own := rows[i*d : (i+1)*d : (i+1)*d]
+			copy(own, row)
+			pendX = append(pendX, own)
 		}
 		pendY = append(pendY, in.Y...)
 		if err := flush(false); err != nil {
@@ -320,82 +257,16 @@ func (p *Pipeline) Run(ctx context.Context, src Source) error {
 	}
 }
 
-// emit folds one cut chunk into the running statistics, re-derives the
-// transform if the covariance has drifted past the threshold, and perturbs
-// the chunk into the target space.
-func (p *Pipeline) emit(ctx context.Context, seq int, x [][]float64, y []int) (Chunk, error) {
-	xcols := matrix.NewFromRows(x).T()
-	if err := p.acc.AddChunk(xcols); err != nil {
-		return Chunk{}, err
-	}
-	drift, err := p.measureDrift()
+// emit perturbs one cut chunk into the target space: G_t(X) with fresh σ
+// noise, materialized as a new dataset so the cut rows can be reused.
+func (p *Pipeline) emit(seq int, x [][]float64, y []int) (Chunk, error) {
+	perturbed, _, err := p.cfg.Target.Apply(p.cfg.Rng, matrix.NewFromRows(x).T())
 	if err != nil {
 		return Chunk{}, err
 	}
-	if p.cfg.DriftThreshold > 0 && drift > p.cfg.DriftThreshold {
-		if err := p.rederive(); err != nil {
-			return Chunk{}, err
-		}
-	}
-
-	// Perturb in the stream space, then adapt into the target space. The
-	// target inherits the rotated stream noise (the §3 complementary-noise
-	// identity), exactly as a batch provider's submission would.
-	perturbed, _, err := p.pert.Apply(p.cfg.Rng, xcols)
+	data, err := dataset.New(fmt.Sprintf("stream-chunk-%d", seq), perturbed.Columns(), append([]int(nil), y...))
 	if err != nil {
 		return Chunk{}, err
 	}
-	adapted, err := p.adaptor.Apply(perturbed)
-	if err != nil {
-		return Chunk{}, err
-	}
-
-	rows := adapted.Columns()
-	name := fmt.Sprintf("stream-chunk-%d", seq)
-	data, err := dataset.New(name, rows, append([]int(nil), y...))
-	if err != nil {
-		return Chunk{}, err
-	}
-	return Chunk{Seq: seq, Epoch: p.Epoch(), Drift: drift, Data: data}, nil
-}
-
-// measureDrift compares the running covariance against the last derivation's
-// snapshot. Until a snapshot exists (fewer than 2 records at the previous
-// derivation) the current covariance becomes the reference and drift is 0.
-func (p *Pipeline) measureDrift() (float64, error) {
-	cov, err := p.acc.Covariance()
-	if errors.Is(err, stat.ErrEmpty) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if p.ref == nil {
-		p.ref = cov
-		return 0, nil
-	}
-	return stat.CovarianceDrift(p.ref, cov)
-}
-
-// rederive draws a fresh stream-space perturbation (same σ) plus its target
-// adaptor, restarts the drift statistics, and bumps the epoch. The window is
-// reset so each epoch measures the covariance of its own records — records
-// retained from before the re-derivation belong to the regime that triggered
-// it and would re-trigger against the fresh reference.
-func (p *Pipeline) rederive() error {
-	fresh, err := perturb.NewRandom(p.cfg.Rng, p.Dim(), p.pert.NoiseSigma)
-	if err != nil {
-		return err
-	}
-	adaptor, err := perturb.NewAdaptor(fresh, p.cfg.Target)
-	if err != nil {
-		return err
-	}
-	p.pert = fresh
-	p.adaptor = adaptor
-	p.acc.Reset()
-	p.ref = nil // next measurable covariance becomes the new reference
-	p.epoch.Add(1)
-	p.mRederivations.Inc()
-	return nil
+	return Chunk{Seq: seq, Data: data}, nil
 }

@@ -37,19 +37,12 @@ func mkData(t *testing.T, rng *rand.Rand, name string, n, d int, shift float64) 
 
 func mkPipeline(t *testing.T, rng *rand.Rand, d int, sigma float64, cfg Config) *Pipeline {
 	t.Helper()
-	var err error
-	if cfg.Perturbation == nil {
-		cfg.Perturbation, err = perturb.NewRandom(rng, d, sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	if cfg.Target == nil {
-		target, err := perturb.NewRandom(rng, d, 0)
+		target, err := perturb.NewRandom(rng, d, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Target = target.WithoutNoise()
+		cfg.Target = target
 	}
 	if cfg.Rng == nil {
 		cfg.Rng = rng
@@ -73,9 +66,9 @@ func drain(t *testing.T, p *Pipeline, src Source) ([]Chunk, error) {
 	return chunks, <-errc
 }
 
-// TestStreamMatchesBatchNoiseless is the acceptance contract: with drift
-// re-derivation disabled and σ = 0, the concatenated streamed output must
-// equal the batch target transform G_t(X) exactly (well within 1e-9).
+// TestStreamMatchesBatchNoiseless is the acceptance contract: with σ = 0,
+// the concatenated streamed output must equal the batch target transform
+// G_t(X) exactly (well within 1e-9).
 func TestStreamMatchesBatchNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := mkData(t, rng, "equiv", 503, 5, 0)
@@ -94,9 +87,6 @@ func TestStreamMatchesBatchNoiseless(t *testing.T) {
 	for i, c := range chunks {
 		if c.Seq != i {
 			t.Fatalf("chunk %d has Seq %d", i, c.Seq)
-		}
-		if c.Epoch != 0 {
-			t.Fatalf("chunk %d re-derived (epoch %d) with drift disabled", i, c.Epoch)
 		}
 		total += c.Data.Len()
 		got = got.Augment(c.Data.FeaturesT())
@@ -171,85 +161,6 @@ func (s *sliceSource) Next(ctx context.Context) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// TestStreamDriftRederivation feeds a stream whose distribution shifts
-// abruptly and checks that the pipeline bumps its epoch — and that every
-// epoch's output still lands in the same target space (verified by
-// recovering the clear data through the target transform, which must succeed
-// for σ = 0 regardless of which stream-space transform produced the chunk).
-func TestStreamDriftRederivation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	calm := mkData(t, rng, "calm", 200, 4, 0)
-	shifted := mkData(t, rng, "shifted", 200, 4, 25)
-
-	p := mkPipeline(t, rng, 4, 0, Config{ChunkSize: 32, DriftThreshold: 0.5})
-	chunks, err := drain(t, p, &sliceSource{parts: []*dataset.Dataset{calm, shifted}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Epoch() == 0 {
-		t.Fatal("distribution shift never triggered a re-derivation")
-	}
-	merged, err := dataset.Merge(calm, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 0
-	for _, c := range chunks {
-		recovered, err := p.cfg.Target.Recover(c.Data.FeaturesT())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSlice := merged.Subset(seqInts(off, c.Data.Len())).FeaturesT()
-		if !recovered.EqualApprox(wantSlice, 1e-8) {
-			t.Fatalf("chunk %d (epoch %d) is not in the target space", c.Seq, c.Epoch)
-		}
-		off += c.Data.Len()
-	}
-	// Epochs must be monotone non-decreasing across chunks.
-	for i := 1; i < len(chunks); i++ {
-		if chunks[i].Epoch < chunks[i-1].Epoch {
-			t.Fatalf("epoch regressed at chunk %d", i)
-		}
-	}
-}
-
-// TestStreamWindowedDriftCatchesLateShift pins the reason the drift
-// statistic moved to a sliding window: after a long stable prefix, a
-// variance jump in the tail must trigger re-derivation under the windowed
-// statistic, while the legacy lifetime accumulator (DriftWindow < 0)
-// dilutes the same jump below the threshold and never reacts.
-func TestStreamWindowedDriftCatchesLateShift(t *testing.T) {
-	run := func(window int) int {
-		rng := rand.New(rand.NewSource(11))
-		calm := mkData(t, rng, "calm", 6000, 3, 0)
-		tail := mkData(t, rng, "tail", 600, 3, 0)
-		for _, row := range tail.X {
-			for j := range row {
-				row[j] *= 2 // variance x4 in the tail regime
-			}
-		}
-		p := mkPipeline(t, rng, 3, 0, Config{ChunkSize: 64, DriftThreshold: 0.8, DriftWindow: window})
-		if _, err := drain(t, p, &sliceSource{parts: []*dataset.Dataset{calm, tail}}); err != nil {
-			t.Fatal(err)
-		}
-		return p.Epoch()
-	}
-	if got := run(512); got == 0 {
-		t.Fatal("windowed drift statistic missed a late variance jump")
-	}
-	if got := run(-1); got != 0 {
-		t.Fatalf("lifetime statistic re-derived %d time(s); the fixture no longer isolates the window's effect", got)
-	}
-}
-
-func seqInts(start, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = start + i
-	}
-	return out
-}
-
 // TestStreamBackpressure checks the bounded buffer: with no consumer, the
 // producer must stall after filling BufferDepth chunks instead of buffering
 // the whole stream.
@@ -314,24 +225,13 @@ func TestStreamDimMismatch(t *testing.T) {
 // TestStreamConfigValidation exercises New's rejection paths.
 func TestStreamConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pert, err := perturb.NewRandom(rng, 3, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := perturb.NewRandom(rng, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherDim, err := perturb.NewRandom(rng, 4, 0)
+	target, err := perturb.NewRandom(rng, 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []Config{
-		{Target: target, Rng: rng},                                           // missing perturbation
-		{Perturbation: pert, Rng: rng},                                       // missing target
-		{Perturbation: pert, Target: otherDim, Rng: rng},                     // dim mismatch
-		{Perturbation: pert, Target: target},                                 // missing rng
-		{Perturbation: pert, Target: target, Rng: rng, DriftThreshold: -0.1}, // negative drift
+		{Rng: rng},       // missing target
+		{Target: target}, // missing rng
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {
@@ -339,7 +239,7 @@ func TestStreamConfigValidation(t *testing.T) {
 		}
 	}
 	// Nil source is rejected by Run.
-	p, err := New(Config{Perturbation: pert, Target: target, Rng: rng})
+	p, err := New(Config{Target: target, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,16 +249,15 @@ func TestStreamConfigValidation(t *testing.T) {
 }
 
 // TestStreamMetrics checks the pipeline's instrumentation: every emitted
-// chunk and record is counted, each drift re-derivation increments the
-// rederivation counter in lockstep with the epoch, and the buffer gauge is
-// bounded by the configured depth.
+// chunk and record is counted, and the buffer gauge is bounded by the
+// configured depth.
 func TestStreamMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	calm := mkData(t, rng, "calm", 200, 4, 0)
 	shifted := mkData(t, rng, "shifted", 200, 4, 25)
 
 	reg := metrics.NewRegistry()
-	p := mkPipeline(t, rng, 4, 0, Config{ChunkSize: 32, DriftThreshold: 0.5, Metrics: reg})
+	p := mkPipeline(t, rng, 4, 0, Config{ChunkSize: 32, Metrics: reg})
 	chunks, err := drain(t, p, &sliceSource{parts: []*dataset.Dataset{calm, shifted}})
 	if err != nil {
 		t.Fatal(err)
@@ -370,12 +269,6 @@ func TestStreamMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["stream.records"]; got != int64(calm.Len()+shifted.Len()) {
 		t.Fatalf("stream.records = %d, want %d", got, calm.Len()+shifted.Len())
-	}
-	if got := snap.Counters["stream.rederivations"]; got != int64(p.Epoch()) {
-		t.Fatalf("stream.rederivations = %d, want epoch %d", got, p.Epoch())
-	}
-	if p.Epoch() == 0 {
-		t.Fatal("distribution shift never triggered a re-derivation")
 	}
 	if depth := snap.Gauges["stream.buffer_occupancy"]; depth < 0 || depth > DefaultBufferDepth {
 		t.Fatalf("stream.buffer_occupancy = %d, want within [0,%d]", depth, DefaultBufferDepth)

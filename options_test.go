@@ -99,8 +99,6 @@ func TestStreamOptionValidationMessages(t *testing.T) {
 	}{
 		{"negative chunk size", sap.WithChunkSize(-1),
 			"sap: bad input: negative chunk size -1"},
-		{"negative drift threshold", sap.WithDriftThreshold(-0.5),
-			"sap: bad input: negative drift threshold -0.5"},
 		{"negative buffer depth", sap.WithBufferDepth(-2),
 			"sap: bad input: negative buffer depth -2"},
 	} {

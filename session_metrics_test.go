@@ -80,7 +80,6 @@ func TestWithMetricsCountsServeQueryStreamOverTCP(t *testing.T) {
 		"service.rejects.unknown_group":  0,
 		"stream.chunks":                  int64(wantChunks),
 		"stream.records":                 int64(holdout.Len()),
-		"stream.rederivations":           0,
 	} {
 		if got := snap.Counters[counterName]; got != want {
 			t.Errorf("%s = %d, want %d", counterName, got, want)

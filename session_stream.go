@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/perturb"
 	"repro/internal/protocol"
 	"repro/internal/stream"
 )
@@ -37,10 +36,8 @@ func DatasetSource(d *Dataset) StreamSource { return stream.DatasetSource(d) }
 
 // streamConfig is the resolved option set of one Session.Stream call.
 type streamConfig struct {
-	chunkSize   int
-	drift       float64
-	driftWindow int
-	buffer      int
+	chunkSize int
+	buffer    int
 }
 
 // StreamOption configures Session.Stream and Session.StreamTo.
@@ -58,35 +55,6 @@ func WithChunkSize(n int) StreamOption {
 	}
 }
 
-// WithDriftThreshold sets the relative covariance drift (Frobenius) at which
-// the pipeline re-derives its perturbation transform; 0 — the default —
-// disables re-derivation, making the streamed output exactly equivalent to
-// batch perturbation.
-func WithDriftThreshold(x float64) StreamOption {
-	return func(c *streamConfig) error {
-		if x < 0 {
-			return fmt.Errorf("%w: negative drift threshold %v", ErrBadInput, x)
-		}
-		c.drift = x
-		return nil
-	}
-}
-
-// WithDriftWindow bounds how many recent records the drift statistic of
-// WithDriftThreshold is computed over (default 4096; chunk-granular, so up
-// to one extra chunk is retained). A windowed statistic keeps late drift
-// detectable on long-lived streams; negative n restores the unbounded
-// lifetime accumulator of earlier releases.
-func WithDriftWindow(n int) StreamOption {
-	return func(c *streamConfig) error {
-		if n == 0 {
-			return nil // keep the default, like the zero Config field
-		}
-		c.driftWindow = n
-		return nil
-	}
-}
-
 // WithBufferDepth sets the emitted-chunk buffer capacity (default 4). A full
 // buffer backpressures the producer instead of growing memory.
 func WithBufferDepth(n int) StreamOption {
@@ -99,8 +67,8 @@ func WithBufferDepth(n int) StreamOption {
 	}
 }
 
-// streamSeedSalt decorrelates the stream-space perturbation draws from the
-// session's protocol randomness while staying deterministic in the seed.
+// streamSeedSalt decorrelates the stream's noise draws from the session's
+// protocol randomness while staying deterministic in the seed.
 const streamSeedSalt int64 = 0x53_54_52_4d // "STRM"
 
 // Stream is one running streaming-perturbation pipeline, created by
@@ -130,29 +98,17 @@ func (st *Stream) Err() error {
 // the stream is running.
 func (st *Stream) Records() int { return st.pipe.Records() }
 
-// Epoch returns the number of drift-triggered transform re-derivations so
-// far; safe to call while the stream is running.
-func (st *Stream) Epoch() int { return st.pipe.Epoch() }
-
 // Stream opens the continuous-ingestion path of a completed session: it
 // perturbs records arriving incrementally from source and emits them as
 // target-space chunks, so they can be appended to a serving miner's training
-// set (Client.Push) or consumed locally. Each chunk is perturbed with a
-// stream-local perturbation (drawn deterministically from the session seed,
-// with the session's noise σ) and adapted into the session's target space
-// with the §3 space adaptor. With WithDriftThreshold set, the pipeline
-// watches the covariance of the most recent window of clear input
-// (Welford/rank-1 accumulators over a sliding record window, see
-// WithDriftWindow) and re-derives its transform when the distribution
-// drifts.
+// set (Client.Push) or consumed locally. Each chunk is perturbed directly
+// with the session's target perturbation G_t and fresh noise of the
+// session's σ, drawn deterministically from the session seed.
 //
-// Privacy note: the stream-space perturbation is a seed-derived random
-// draw, not an output of the attack-suite optimizer, so streamed records
-// carry the baseline guarantee of a random geometric perturbation rather
-// than a party's optimized ρ_i. Rotation-invariant distance relationships
-// (what the miner consumes) are preserved either way; parties whose
-// contracts demand an optimizer-vetted guarantee for streamed data should
-// re-optimize out of band (see the ROADMAP open item).
+// Privacy note: the miner receives G_t-perturbed records from a named
+// provider, so streamed records carry G_t's guarantee on that data and the
+// paper's Eq. 1 applies with source identifiability π = 1 — not the
+// 1/(k−1) of SAP's anonymous exchange.
 //
 // The pipeline runs in a background goroutine owned by the returned Stream;
 // cancelling ctx stops it.
@@ -170,20 +126,14 @@ func (s *Session) Stream(ctx context.Context, source StreamSource, opts ...Strea
 	s.streamSeq++
 	seq := s.streamSeq
 	s.mu.Unlock()
-	rng := rand.New(rand.NewSource(s.cfg.seed + streamSeedSalt*seq))
-	pert, err := perturb.NewRandom(rng, s.Target().Dim(), s.cfg.noiseSigma)
-	if err != nil {
-		return nil, err
-	}
+	target := s.Target().Clone()
+	target.NoiseSigma = s.cfg.noiseSigma
 	pipe, err := stream.New(stream.Config{
-		Perturbation:   pert,
-		Target:         s.Target(),
-		Rng:            rng,
-		ChunkSize:      cfg.chunkSize,
-		DriftThreshold: cfg.drift,
-		DriftWindow:    cfg.driftWindow,
-		BufferDepth:    cfg.buffer,
-		Metrics:        s.cfg.metrics,
+		Target:      target,
+		Rng:         rand.New(rand.NewSource(s.cfg.seed + streamSeedSalt*seq)),
+		ChunkSize:   cfg.chunkSize,
+		BufferDepth: cfg.buffer,
+		Metrics:     s.cfg.metrics,
 	})
 	if err != nil {
 		return nil, err

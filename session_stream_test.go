@@ -3,12 +3,14 @@ package sap_test
 // Facade tests for the streaming ingestion path: Session.Stream,
 // Session.StreamTo and Client.Push. The equivalence test is the PR's
 // acceptance criterion — streaming must be statistically indistinguishable
-// from batch perturbation when drift re-derivation is disabled.
+// from batch perturbation.
 
 import (
 	"context"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"testing"
 
 	sap "repro"
@@ -43,10 +45,10 @@ func streamSession(t *testing.T, opts ...sap.Option) (*sap.Session, *sap.Dataset
 	return sess, holdout
 }
 
-// TestStreamEquivalentToBatch checks the acceptance criterion: with drift
-// re-derivation disabled and σ = 0, the covariance of the streamed output
-// matches the covariance of the batch-perturbed data within 1e-9 (here the
-// records themselves match exactly).
+// TestStreamEquivalentToBatch checks the acceptance criterion: with σ = 0,
+// the covariance of the streamed output matches the covariance of the
+// batch-perturbed data within 1e-9 (here the records themselves match
+// exactly).
 func TestStreamEquivalentToBatch(t *testing.T) {
 	sess, holdout := streamSession(t, sap.WithNoiseSigma(0))
 
@@ -61,9 +63,6 @@ func TestStreamEquivalentToBatch(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if st.Epoch() != 0 {
-		t.Fatalf("Epoch() = %d with drift disabled, want 0", st.Epoch())
 	}
 	if st.Records() != holdout.Len() {
 		t.Fatalf("Records() = %d, want %d", st.Records(), holdout.Len())
@@ -209,7 +208,6 @@ func TestStreamOptionValidation(t *testing.T) {
 	ctx := context.Background()
 	cases := []sap.StreamOption{
 		sap.WithChunkSize(-1),
-		sap.WithDriftThreshold(-0.5),
 		sap.WithBufferDepth(-2),
 	}
 	for i, opt := range cases {
@@ -272,5 +270,88 @@ func TestDatasetSourceEOF(t *testing.T) {
 	}
 	if _, err := src.Next(ctx); !errors.Is(err, io.EOF) {
 		t.Fatalf("second Next: %v, want io.EOF", err)
+	}
+}
+
+// TestStreamResidualDistribution pins what a streamed record is, by
+// distribution: y = R_t·x + Ψ_t + ε with ε iid N(0, σ²) per coordinate. It
+// checks the residuals y − (R_t·x + Ψ_t) over 100k records — per-coordinate
+// variance within 3% of σ², every cross-covariance within 5σ²/√n — so any
+// change to how the stream draws its transforms must leave the miner's input
+// distributed exactly as fresh-noise target-space records.
+func TestStreamResidualDistribution(t *testing.T) {
+	const (
+		sigma = 0.1
+		n     = 100_000
+	)
+	sess, _ := streamSession(t, sap.WithNoiseSigma(sigma))
+	d := sess.Target().Dim()
+	rng := rand.New(rand.NewSource(21))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+		x[i] = row
+		y[i] = i % 3
+	}
+	data, err := sap.NewDataset("gauss", x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sess.Stream(context.Background(), sap.DatasetSource(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Target().ApplyNoiseless(data.FeaturesT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Accumulate residual sums and cross-products in streaming order.
+	sum := make([]float64, d)
+	prod := make([][]float64, d)
+	for i := range prod {
+		prod[i] = make([]float64, d)
+	}
+	res := make([]float64, d)
+	off := 0
+	for chunk := range st.Chunks() {
+		for r, row := range chunk.Data.X {
+			for j := range res {
+				res[j] = row[j] - want.At(j, off+r)
+				sum[j] += res[j]
+			}
+			for a := range res {
+				for b := range res {
+					prod[a][b] += res[a] * res[b]
+				}
+			}
+		}
+		off += chunk.Data.Len()
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if off != n {
+		t.Fatalf("streamed %d records, want %d", off, n)
+	}
+	want2 := sigma * sigma
+	crossTol := 5 * want2 / math.Sqrt(n)
+	for a := 0; a < d; a++ {
+		for b := 0; b < d; b++ {
+			cov := (prod[a][b] - sum[a]*sum[b]/n) / (n - 1)
+			if a == b {
+				if rel := math.Abs(cov-want2) / want2; rel > 0.03 {
+					t.Errorf("residual variance of coordinate %d = %.6g, want σ² = %.6g within 3%% (off by %.2f%%)",
+						a, cov, want2, 100*rel)
+				}
+				continue
+			}
+			if math.Abs(cov) > crossTol {
+				t.Errorf("residual cross-covariance (%d,%d) = %.3g, want |cov| ≤ 5σ²/√n = %.3g", a, b, cov, crossTol)
+			}
+		}
 	}
 }
