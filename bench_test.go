@@ -328,50 +328,6 @@ func BenchmarkKNNPredictKDTree(b *testing.B) {
 	}
 }
 
-func BenchmarkPerturbCompose(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	g1, _ := perturb.NewRandom(rng, 16, 0.05)
-	g2, _ := perturb.NewRandom(rng, 16, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perturb.Compose(g1, g2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDistanceInferenceAttack(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	d, _ := dataset.GenerateByName("Iris", rng)
-	norm, _, _ := dataset.Normalize(d)
-	x := norm.FeaturesT()
-	p, _ := perturb.NewRandom(rng, x.Rows(), 0.05)
-	y, _, err := p.Apply(rng, x)
-	if err != nil {
-		b.Fatal(err)
-	}
-	atk := privacy.NewDistanceInferenceAttack(privacy.DistanceInferenceConfig{})
-	know := privacy.Knowledge{Original: x, KnownOriginal: x.Slice(0, x.Rows(), 0, 8)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := atk.Estimate(y, know); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatrixCholesky(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	g := matrix.RandomGaussian(rng, 16, 16, 1)
-	a := g.Mul(g.T()).Add(matrix.Identity(16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.Cholesky(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAESCodecSeal(b *testing.B) {
 	codec, err := transport.NewAESCodec("bench-key")
 	if err != nil {

@@ -36,16 +36,13 @@ func TestAdminFlagOverTCP(t *testing.T) {
 	for i, addr := range admAddrs {
 		minerPeers += fmt.Sprintf(",adm%d=%s", i+1, addr)
 	}
-	minerDone := make(chan error, 1)
-	go func() {
-		minerDone <- run([]string{
-			"-role", "miner", "-name", "miner", "-listen", minerAddr,
-			"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
-			"-serve", "15s", "-model", "knn", "-workers", "2",
-			"-peers", minerPeers, "-key", "admin-key",
-			"-admin-token", "hunter2", "-metrics-addr", mAddr,
-		})
-	}()
+	stopMiner := startRun(t, []string{
+		"-role", "miner", "-name", "miner", "-listen", minerAddr,
+		"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
+		"-serve", "60s", "-model", "knn", "-workers", "2",
+		"-peers", minerPeers, "-key", "admin-key",
+		"-admin-token", "hunter2", "-metrics-addr", mAddr,
+	})
 
 	codec, err := transport.NewAESCodec("admin-key")
 	if err != nil {
@@ -92,17 +89,17 @@ func TestAdminFlagOverTCP(t *testing.T) {
 	}
 
 	// A wrong token is denied; the right one lists both groups.
-	err = run(adminArgs(admAddrs[0], "adm1", "-admin", "list", "-admin-token", "wrong"))
+	err = run(ctx, adminArgs(admAddrs[0], "adm1", "-admin", "list", "-admin-token", "wrong"))
 	if err == nil || !strings.Contains(err.Error(), "admin access denied") {
 		t.Fatalf("wrong-token list err = %v, want admin access denied", err)
 	}
-	if err := run(adminArgs(admAddrs[1], "adm2", "-admin", "list", "-admin-token", "hunter2")); err != nil {
+	if err := run(ctx, adminArgs(admAddrs[1], "adm2", "-admin", "list", "-admin-token", "hunter2")); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 
 	// Register a third group on the live service: it must start answering
 	// without any restart, under its configured ingest quota.
-	if err := run(adminArgs(admAddrs[2], "adm3", "-admin", "register", "-admin-token", "hunter2",
+	if err := run(ctx, adminArgs(admAddrs[2], "adm3", "-admin", "register", "-admin-token", "hunter2",
 		"-group", "ward-c", "-data", csvC, "-model", "knn", "-quota", "1", "-quota-burst", "2")); err != nil {
 		t.Fatalf("register ward-c: %v", err)
 	}
@@ -130,7 +127,7 @@ func TestAdminFlagOverTCP(t *testing.T) {
 	waitForMetric(t, ctx, mAddr, "service_ward_c_rejects_quota_total 1")
 
 	// Evict ward-a: it stops answering while ward-b and ward-c keep serving.
-	if err := run(adminArgs(admAddrs[3], "adm4", "-admin", "evict", "-admin-token", "hunter2",
+	if err := run(ctx, adminArgs(admAddrs[3], "adm4", "-admin", "evict", "-admin-token", "hunter2",
 		"-group", "ward-a")); err != nil {
 		t.Fatalf("evict ward-a: %v", err)
 	}
@@ -163,14 +160,9 @@ func TestAdminFlagOverTCP(t *testing.T) {
 		t.Fatalf("ward-c quota = %+v, want rate 1 burst 2", q)
 	}
 
-	// The daemon exits cleanly when its serve window closes.
-	select {
-	case err := <-minerDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(25 * time.Second):
-		t.Fatal("miner did not stop")
+	// The daemon exits cleanly when stopped.
+	if err := stopMiner(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -206,7 +198,7 @@ func TestAdminFlagValidation(t *testing.T) {
 			"evict needs -group"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(context.Background(), tc.args)
 			if err == nil {
 				t.Fatal("run succeeded, want error")
 			}

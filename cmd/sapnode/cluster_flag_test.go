@@ -30,19 +30,16 @@ func TestClusterFlagOverTCP(t *testing.T) {
 	clusterList := fmt.Sprintf("n1=%s,n2=%s", addr1, addr2)
 	groupList := fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB)
 
-	done := make(chan error, 2)
+	var stops []func() error
 	for _, d := range []struct{ name, listen, maddr string }{
 		{"n1", addr1, mAddr1}, {"n2", addr2, mAddr2}} {
-		d := d
-		go func() {
-			done <- run([]string{
-				"-role", "miner", "-name", d.name, "-listen", d.listen,
-				"-groups", groupList, "-cluster", clusterList, "-cluster-replicas", "1",
-				"-serve", "10s", "-model", "knn", "-workers", "2", "-refit", "2",
-				"-peers", "cli=" + cliAddr, "-key", "cluster-key",
-				"-metrics-addr", d.maddr,
-			})
-		}()
+		stops = append(stops, startRun(t, []string{
+			"-role", "miner", "-name", d.name, "-listen", d.listen,
+			"-groups", groupList, "-cluster", clusterList, "-cluster-replicas", "1",
+			"-serve", "60s", "-model", "knn", "-workers", "2", "-refit", "2",
+			"-peers", "cli=" + cliAddr, "-key", "cluster-key",
+			"-metrics-addr", d.maddr,
+		}))
 	}
 
 	codec, err := transport.NewAESCodec("cluster-key")
@@ -105,15 +102,10 @@ func TestClusterFlagOverTCP(t *testing.T) {
 	waitForMetric(t, ctx, metricsOf[route.Node], "cluster_sync_published_total 1")
 	waitForMetric(t, ctx, metricsOf[route.Replicas[0]], "service_ward_a_sync_installs_total 1")
 
-	// Both daemons exit cleanly when their serve windows close.
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(25 * time.Second):
-			t.Fatal("cluster daemons did not stop")
+	// Both daemons exit cleanly when stopped.
+	for _, stop := range stops {
+		if err := stop(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -162,7 +154,7 @@ func TestClusterFlagValidation(t *testing.T) {
 			"bad routing table"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(context.Background(), tc.args)
 			if err == nil {
 				t.Fatal("run succeeded, want error")
 			}

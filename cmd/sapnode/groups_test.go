@@ -52,15 +52,12 @@ func TestServeGroupsFlagOverTCP(t *testing.T) {
 	ports := freePorts(t, 2)
 	minerAddr, cliAddr := ports[0], ports[1]
 
-	minerDone := make(chan error, 1)
-	go func() {
-		minerDone <- run([]string{
-			"-role", "miner", "-name", "miner", "-listen", minerAddr,
-			"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
-			"-serve", "6s", "-model", "knn", "-workers", "2",
-			"-peers", "cli=" + cliAddr, "-key", "group-key",
-		})
-	}()
+	stopMiner := startRun(t, []string{
+		"-role", "miner", "-name", "miner", "-listen", minerAddr,
+		"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
+		"-serve", "60s", "-model", "knn", "-workers", "2",
+		"-peers", "cli=" + cliAddr, "-key", "group-key",
+	})
 
 	codec, err := transport.NewAESCodec("group-key")
 	if err != nil {
@@ -112,14 +109,9 @@ func TestServeGroupsFlagOverTCP(t *testing.T) {
 	}
 	ghost.Close()
 
-	// The daemon exits cleanly when its serve window closes.
-	select {
-	case err := <-minerDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("miner did not stop")
+	// The daemon exits cleanly when stopped.
+	if err := stopMiner(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,7 +142,7 @@ func TestServeGroupsFlagValidation(t *testing.T) {
 			"duplicate group id"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(context.Background(), tc.args)
 			if err == nil {
 				t.Fatal("run succeeded, want error")
 			}

@@ -76,13 +76,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sapnode:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one sapnode invocation. Cancelling ctx stops it: the protocol
+// run fails with the context's error, and a serving miner shuts down cleanly
+// before its -serve window closes.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sapnode", flag.ContinueOnError)
 	var (
 		role        = fs.String("role", "", "provider, coordinator or miner")
@@ -162,7 +168,7 @@ func run(args []string) error {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	protoCtx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 	rng := rand.New(rand.NewSource(*seed))
 
@@ -194,7 +200,7 @@ func run(args []string) error {
 		if *role != "" {
 			return fmt.Errorf("-admin conflicts with -role (an admin call is its own mode)")
 		}
-		return runAdmin(ctx, node, *adminCmd, *miner, *adminToken, *group,
+		return runAdmin(protoCtx, node, *adminCmd, *miner, *adminToken, *group,
 			*dataPath, *modelName, *refitEvery, *workers, *maxBatch, *f32,
 			protocol.GroupQuota{RecordsPerSec: *quotaRate, Burst: *quotaBurst})
 	}
@@ -215,18 +221,18 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := prov.Run(ctx); err != nil {
+		if err := prov.Run(protoCtx); err != nil {
 			return err
 		}
 		fmt.Println("provider done: dataset exchanged, adaptor delivered")
 		if *streamPath != "" {
-			if err := streamToService(ctx, node, *miner, *group, prov.Target(), pert.NoiseSigma, rng,
+			if err := streamToService(protoCtx, node, *miner, *group, prov.Target(), pert.NoiseSigma, rng,
 				*streamPath, *chunkSize, sink, wire); err != nil {
 				return err
 			}
 		}
 		if *queryPath != "" {
-			return queryService(ctx, node, *miner, *group, prov.Target(), *queryPath, *batchSize, wire)
+			return queryService(protoCtx, node, *miner, *group, prov.Target(), *queryPath, *batchSize, wire)
 		}
 		return nil
 
@@ -248,7 +254,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := coord.Run(ctx); err != nil {
+		if err := coord.Run(protoCtx); err != nil {
 			return err
 		}
 		fmt.Println("coordinator done: adaptor map delivered to the miner")
@@ -282,11 +288,11 @@ func run(args []string) error {
 				return fmt.Errorf("-group conflicts with -groups (the id=csv list already names every group)")
 			}
 			if *clusterFlag != "" {
-				return serveCluster(node, *name, *clusterFlag, *clusterReps,
+				return serveCluster(ctx, node, *name, *clusterFlag, *clusterReps,
 					*groupsFlag, *modelName, views, *workers, *maxBatch, *refitEvery,
 					*failGrace, *antiEntropy, *serveFor, sink, wire, *adminToken)
 			}
-			return serveGroups(node, *groupsFlag, *modelName, views, *workers, *maxBatch, *refitEvery, *serveFor, sink, wire, *adminToken)
+			return serveGroups(ctx, node, *groupsFlag, *modelName, views, *workers, *maxBatch, *refitEvery, *serveFor, sink, wire, *adminToken)
 		}
 		// Queries racing the tail of the SAP run are stashed so they
 		// neither trip the protocol's violation checks nor get lost; the
@@ -299,7 +305,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := m.Run(ctx)
+		res, err := m.Run(protoCtx)
 		if err != nil {
 			return err
 		}
@@ -321,7 +327,7 @@ func run(args []string) error {
 			fmt.Printf("unified dataset written to %s\n", *outPath)
 		}
 		if *serveFor != 0 {
-			return serveService(conn, res, *modelName, *group, views, *workers, *maxBatch, *refitEvery, *serveFor, sink, wire, *adminToken)
+			return serveService(ctx, conn, res, *modelName, *group, views, *workers, *maxBatch, *refitEvery, *serveFor, sink, wire, *adminToken)
 		}
 		return nil
 
@@ -336,7 +342,7 @@ func run(args []string) error {
 // answered first. A non-empty group serves the model under that group id
 // instead of the default group; -views splits it into multi-level trust
 // views, one model per level.
-func serveService(conn *serviceStash, res *protocol.MinerResult, modelName, group string, views []viewDef, workers, maxBatch, refitEvery int, d time.Duration, sink metrics.Metrics, wire protocol.WireOptions, adminToken string) error {
+func serveService(ctx context.Context, conn *serviceStash, res *protocol.MinerResult, modelName, group string, views []viewDef, workers, maxBatch, refitEvery int, d time.Duration, sink metrics.Metrics, wire protocol.WireOptions, adminToken string) error {
 	model, err := buildModel(modelName)
 	if err != nil {
 		return err
@@ -356,7 +362,7 @@ func serveService(conn *serviceStash, res *protocol.MinerResult, modelName, grou
 	if err != nil {
 		return err
 	}
-	return serveLoop(svc, fmt.Sprintf("mining service online (%s model, group %q, %d view(s)); serving queries…",
+	return serveLoop(ctx, svc, fmt.Sprintf("mining service online (%s model, group %q, %d view(s)); serving queries…",
 		modelName, group, max(1, len(views))), d)
 }
 
@@ -515,7 +521,7 @@ func parseGroups(spec, modelName string, float32Payloads bool) ([]protocol.Group
 // unified dataset is an earlier contract's result in its own target space.
 // A -views list applies to every group: each splits into the same
 // multi-level trust structure over its own data.
-func serveGroups(conn transport.Conn, spec, modelName string, views []viewDef, workers, maxBatch, refitEvery int, d time.Duration, sink metrics.Metrics, wire protocol.WireOptions, adminToken string) error {
+func serveGroups(ctx context.Context, conn transport.Conn, spec, modelName string, views []viewDef, workers, maxBatch, refitEvery int, d time.Duration, sink metrics.Metrics, wire protocol.WireOptions, adminToken string) error {
 	groups, err := parseGroups(spec, modelName, wire.Float32)
 	if err != nil {
 		return err
@@ -531,7 +537,7 @@ func serveGroups(conn transport.Conn, spec, modelName string, views []viewDef, w
 	if err != nil {
 		return err
 	}
-	return serveLoop(svc, fmt.Sprintf("mining service online (%s model, %d groups); serving queries…",
+	return serveLoop(ctx, svc, fmt.Sprintf("mining service online (%s model, %d groups); serving queries…",
 		modelName, len(groups)), d)
 }
 
@@ -541,7 +547,7 @@ func serveGroups(conn transport.Conn, spec, modelName string, views []viewDef, w
 // share — leading some groups, following others as a read replica. The
 // other cluster nodes are added as transport peers so replication and
 // forwarded client traffic can reach them.
-func serveCluster(node *transport.TCPNode, name, clusterSpec string, replicas int,
+func serveCluster(ctx context.Context, node *transport.TCPNode, name, clusterSpec string, replicas int,
 	groupsSpec, modelName string, views []viewDef, workers, maxBatch, refitEvery int,
 	failGrace, antiEntropy, d time.Duration, sink metrics.Metrics, wire protocol.WireOptions, adminToken string) error {
 	groups, err := parseGroups(groupsSpec, modelName, wire.Float32)
@@ -587,7 +593,7 @@ func serveCluster(node *transport.TCPNode, name, clusterSpec string, replicas in
 	if err != nil {
 		return err
 	}
-	return serveLoop(n, fmt.Sprintf("cluster node online (%s model): leading %v, following %v of %d groups; serving queries…",
+	return serveLoop(ctx, n, fmt.Sprintf("cluster node online (%s model): leading %v, following %v of %d groups; serving queries…",
 		modelName, n.Leads(), n.Follows(), len(groups)), d)
 }
 
@@ -689,10 +695,8 @@ func runAdmin(ctx context.Context, conn transport.Conn, cmd, miner, token, group
 }
 
 // serveLoop runs a built service until the duration elapses (or, when
-// negative, until SIGINT/SIGTERM).
-func serveLoop(svc interface{ Serve(context.Context) error }, banner string, d time.Duration) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
+// negative, until ctx ends: main cancels it on SIGINT/SIGTERM).
+func serveLoop(ctx context.Context, svc interface{ Serve(context.Context) error }, banner string, d time.Duration) error {
 	if d > 0 {
 		var cancelTimeout context.CancelFunc
 		ctx, cancelTimeout = context.WithTimeout(ctx, d)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"math/rand"
 	"os"
@@ -85,7 +86,7 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := run(tt.args)
+			err := run(context.Background(), tt.args)
 			if err == nil {
 				t.Fatal("run succeeded, want error")
 			}
@@ -119,8 +120,8 @@ func TestSeedFlagDefaultIsFixed(t *testing.T) {
 	if *seed != 1 {
 		t.Fatalf("default seed = %d, want 1", *seed)
 	}
-	a := run([]string{"-role", "wizard", "-name", "x"})
-	b := run([]string{"-role", "wizard", "-name", "x"})
+	a := run(context.Background(), []string{"-role", "wizard", "-name", "x"})
+	b := run(context.Background(), []string{"-role", "wizard", "-name", "x"})
 	if a == nil || b == nil || a.Error() != b.Error() {
 		t.Fatalf("reruns with default flags disagree: %v vs %v", a, b)
 	}
@@ -128,7 +129,7 @@ func TestSeedFlagDefaultIsFixed(t *testing.T) {
 
 func TestRunCoordinatorNeedsProviders(t *testing.T) {
 	path := writeDatasetCSV(t, "Iris")
-	err := run([]string{"-name", "c", "-role", "coordinator", "-data", path,
+	err := run(context.Background(), []string{"-name", "c", "-role", "coordinator", "-data", path,
 		"-miner", "m", "-candidates", "2", "-steps", "1"})
 	if err == nil || !strings.Contains(err.Error(), "-providers") {
 		t.Fatalf("err = %v, want -providers complaint", err)

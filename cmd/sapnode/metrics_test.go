@@ -52,16 +52,13 @@ func TestMetricsAddrExposesWorkloadCounters(t *testing.T) {
 	ports := freePorts(t, 3)
 	minerAddr, cliAddr, metricsAddr := ports[0], ports[1], ports[2]
 
-	minerDone := make(chan error, 1)
-	go func() {
-		minerDone <- run([]string{
-			"-role", "miner", "-name", "miner", "-listen", minerAddr,
-			"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
-			"-serve", "8s", "-model", "knn", "-workers", "2", "-refit", "4",
-			"-metrics-addr", metricsAddr,
-			"-peers", "cli=" + cliAddr, "-key", "metrics-key",
-		})
-	}()
+	stopMiner := startRun(t, []string{
+		"-role", "miner", "-name", "miner", "-listen", minerAddr,
+		"-groups", fmt.Sprintf("ward-a=%s,ward-b=%s", csvA, csvB),
+		"-serve", "60s", "-model", "knn", "-workers", "2", "-refit", "4",
+		"-metrics-addr", metricsAddr,
+		"-peers", "cli=" + cliAddr, "-key", "metrics-key",
+	})
 
 	codec, err := transport.NewAESCodec("metrics-key")
 	if err != nil {
@@ -166,12 +163,7 @@ func TestMetricsAddrExposesWorkloadCounters(t *testing.T) {
 		t.Errorf("ward-b refit.ns = %+v, want 2 positive timings", rf)
 	}
 
-	select {
-	case err := <-minerDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("miner did not stop")
+	if err := stopMiner(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -31,6 +34,26 @@ func freePorts(t *testing.T, n int) []string {
 		ln.Close()
 	}
 	return addrs
+}
+
+// startRun runs one sapnode invocation on its own goroutine. The returned
+// stop func cancels the invocation and returns run's error once run has
+// returned, so a serving miner ends as soon as its test's client side is
+// done instead of when its -serve window closes.
+func startRun(t *testing.T, args []string) (stop func() error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args) }()
+	return func() error {
+		cancel()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(20 * time.Second):
+			return errors.New("run did not return after its context was cancelled")
+		}
+	}
 }
 
 // TestFullSessionOverTCP drives four sapnode processes' worth of roles
@@ -60,23 +83,23 @@ func TestFullSessionOverTCP(t *testing.T) {
 		"-seed", "7", "-timeout", "60s"}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
+	errs := make(chan error, 3)
 	launch := func(args []string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run(append(args, common...)); err != nil {
+			if err := run(context.Background(), append(args, common...)); err != nil {
 				errs <- err
 			}
 		}()
 	}
-	// The miner stays online as a mining service for a few seconds after
-	// unification; dp1 classifies its own shard through it the moment its
-	// protocol role completes — exercising the stash path for queries that
-	// race the tail of the run.
-	launch([]string{"-role", "miner", "-name", "miner", "-listen", minerAddr,
+	// The miner stays online as a mining service after unification; dp1
+	// classifies its own shard through it the moment its protocol role
+	// completes — exercising the stash path for queries that race the tail
+	// of the run. The miner stops once every other role is done.
+	stopMiner := startRun(t, append([]string{"-role", "miner", "-name", "miner", "-listen", minerAddr,
 		"-coordinator", "coord", "-parties", "3", "-peers", peerList("miner"), "-out", outCSV,
-		"-serve", "5s", "-model", "knn", "-workers", "2"})
+		"-serve", "60s", "-model", "knn", "-workers", "2"}, common...))
 	launch([]string{"-role", "coordinator", "-name", "coord", "-listen", coordAddr,
 		"-data", shards[2], "-providers", "dp1,dp2", "-miner", "miner", "-peers", peerList("coord")})
 	launch([]string{"-role", "provider", "-name", "dp1", "-listen", p1Addr,
@@ -87,6 +110,9 @@ func TestFullSessionOverTCP(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := stopMiner(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -33,21 +34,22 @@ func TestStreamSessionOverTCP(t *testing.T) {
 		"-seed", "11", "-timeout", "60s"}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
+	errs := make(chan error, 3)
 	launch := func(args []string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run(append(args, common...)); err != nil {
+			if err := run(context.Background(), append(args, common...)); err != nil {
 				errs <- err
 			}
 		}()
 	}
 	// The miner refits after every 16 streamed records; dp1 streams its
 	// 50-record shard in chunks of 16 and then queries the refit model.
-	launch([]string{"-role", "miner", "-name", "miner", "-listen", minerAddr,
+	// The miner stops once every other role is done.
+	stopMiner := startRun(t, append([]string{"-role", "miner", "-name", "miner", "-listen", minerAddr,
 		"-coordinator", "coord", "-parties", "3", "-peers", peerList("miner"),
-		"-serve", "8s", "-model", "knn", "-workers", "2", "-refit", "16"})
+		"-serve", "60s", "-model", "knn", "-workers", "2", "-refit", "16"}, common...))
 	launch([]string{"-role", "coordinator", "-name", "coord", "-listen", coordAddr,
 		"-data", shards[2], "-providers", "dp1,dp2", "-miner", "miner", "-peers", peerList("coord")})
 	launch([]string{"-role", "provider", "-name", "dp1", "-listen", p1Addr,
@@ -59,6 +61,9 @@ func TestStreamSessionOverTCP(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := stopMiner(); err != nil {
 		t.Fatal(err)
 	}
 }

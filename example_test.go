@@ -55,6 +55,7 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 	fmt.Printf("accuracy within a few points of the clear baseline: %v\n", acc > 0.5)
+	// Output: accuracy within a few points of the clear baseline: true
 }
 
 // ExampleRun shows the one-call entry point plus the serving lifecycle: the
@@ -117,6 +118,7 @@ func ExampleRun() {
 		log.Fatal(err)
 	}
 	fmt.Printf("one label per held-out record: %v\n", len(labels) == holdout.Len())
+	// Output: one label per held-out record: true
 }
 
 // ExampleWithTrustViews serves one group as ordered multi-level trust
@@ -305,6 +307,7 @@ func ExampleOptimizePerturbation() {
 	}
 	fmt.Printf("optimizer objective and full-suite guarantee are positive: %v\n",
 		rho > 0 && report.MinGuarantee > 0)
+	// Output: optimizer objective and full-suite guarantee are positive: true
 }
 
 // ExampleRiskSAP evaluates the paper's Equation 2 for a 6-party deployment.

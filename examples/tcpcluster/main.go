@@ -9,7 +9,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -142,8 +144,8 @@ func run() error {
 
 	fmt.Printf("miner unified %d records × %d features\n", res.Unified.Len(), res.Unified.Dim())
 	fmt.Println("forwarder per slot (all the miner knows about provenance):")
-	for slot, from := range res.Submissions {
-		fmt.Printf("  slot %d ← %s\n", slot, from)
+	for _, slot := range slices.Sorted(maps.Keys(res.Submissions)) {
+		fmt.Printf("  slot %d ← %s\n", slot, res.Submissions[slot])
 	}
 
 	// The miner keeps a model online: the serving phase of the contract.

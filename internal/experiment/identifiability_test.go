@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestRunIdentifiabilityUniform(t *testing.T) {
@@ -63,62 +60,5 @@ func TestRunIdentifiabilityValidation(t *testing.T) {
 	}
 	if _, err := RunIdentifiability(fastCfg(), "NoSuch", 4, 5); err == nil {
 		t.Error("unknown dataset accepted")
-	}
-}
-
-func TestFig3CSV(t *testing.T) {
-	res := &Fig3Result{Points: []Fig3Point{
-		{Dataset: "Diabetes", Scheme: dataset.PartitionUniform, K: 5, Rate: 0.9, MinRate: 0.85, MaxRate: 0.95},
-	}}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "dataset,scheme,k") || !strings.Contains(out, "Diabetes,Uniform,5") {
-		t.Fatalf("csv:\n%s", out)
-	}
-}
-
-func TestFig4CSV(t *testing.T) {
-	res, err := RunFig4(fastCfg(), []float64{0.95}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 4 { // header + 3 datasets
-		t.Fatalf("csv lines = %d, want 4:\n%s", lines, buf.String())
-	}
-}
-
-func TestAccuracyCSV(t *testing.T) {
-	res := &AccuracyResult{Classifier: "KNN", Points: []AccuracyPoint{
-		{Dataset: "Iris", Scheme: dataset.PartitionClass, Classifier: "KNN", Clear: 0.95, Perturbed: 0.93, Deviation: -2},
-	}}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "KNN,Iris,Class,0.95,0.93,-2") {
-		t.Fatalf("csv:\n%s", buf.String())
-	}
-}
-
-func TestFig2CSV(t *testing.T) {
-	cfg := fastCfg()
-	res, err := RunFig2(cfg, "Iris")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "random,mean") || !strings.Contains(out, "optimized,max") {
-		t.Fatalf("csv:\n%s", out)
 	}
 }

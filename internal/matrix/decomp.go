@@ -5,143 +5,6 @@ import (
 	"math"
 )
 
-// LU holds an LU decomposition with partial pivoting: PA = LU, where L is
-// unit lower triangular, U upper triangular, and P a row permutation.
-type LU struct {
-	lu    *Dense // packed L (below diagonal) and U (diagonal and above)
-	piv   []int  // piv[i] is the row of A in row i of LU
-	signs float64
-}
-
-// LUDecompose factors a square matrix. It returns ErrSingular if a zero
-// pivot is encountered.
-func LUDecompose(a *Dense) (*LU, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("matrix: LUDecompose of non-square %dx%d", a.rows, a.cols))
-	}
-	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1.0
-	for k := 0; k < n; k++ {
-		// Partial pivot: largest |value| in column k at or below row k.
-		p, max := k, math.Abs(lu.data[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.data[i*n+k]); v > max {
-				p, max = i, v
-			}
-		}
-		if max == 0 {
-			return nil, fmt.Errorf("zero pivot at column %d: %w", k, ErrSingular)
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu.data[p*n+j], lu.data[k*n+j] = lu.data[k*n+j], lu.data[p*n+j]
-			}
-			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
-		}
-		pivot := lu.data[k*n+k]
-		for i := k + 1; i < n; i++ {
-			f := lu.data[i*n+k] / pivot
-			lu.data[i*n+k] = f
-			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= f * lu.data[k*n+j]
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, signs: sign}, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := f.signs
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
-}
-
-// Solve returns x such that A x = b for each column b of B.
-func (f *LU) Solve(b *Dense) (*Dense, error) {
-	n := f.lu.rows
-	if b.rows != n {
-		panic(fmt.Sprintf("matrix: LU.Solve dimension mismatch %d vs %d", b.rows, n))
-	}
-	x := New(n, b.cols)
-	// Apply permutation.
-	for i := 0; i < n; i++ {
-		copy(x.data[i*b.cols:(i+1)*b.cols], b.data[f.piv[i]*b.cols:(f.piv[i]+1)*b.cols])
-	}
-	// Forward substitution (L has unit diagonal).
-	for k := 0; k < n; k++ {
-		for i := k + 1; i < n; i++ {
-			l := f.lu.data[i*n+k]
-			if l == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				x.data[i*b.cols+j] -= l * x.data[k*b.cols+j]
-			}
-		}
-	}
-	// Back substitution.
-	for k := n - 1; k >= 0; k-- {
-		d := f.lu.data[k*n+k]
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		for j := 0; j < b.cols; j++ {
-			x.data[k*b.cols+j] /= d
-		}
-		for i := 0; i < k; i++ {
-			u := f.lu.data[i*n+k]
-			if u == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				x.data[i*b.cols+j] -= u * x.data[k*b.cols+j]
-			}
-		}
-	}
-	return x, nil
-}
-
-// Inverse returns A⁻¹ for a square matrix, or ErrSingular.
-func (m *Dense) Inverse() (*Dense, error) {
-	f, err := LUDecompose(m)
-	if err != nil {
-		return nil, fmt.Errorf("inverse: %w", err)
-	}
-	inv, err := f.Solve(Identity(m.rows))
-	if err != nil {
-		return nil, fmt.Errorf("inverse: %w", err)
-	}
-	return inv, nil
-}
-
-// Det returns the determinant of a square matrix (0 if singular).
-func (m *Dense) Det() float64 {
-	f, err := LUDecompose(m)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
-}
-
-// Solve solves A x = b (b as column matrix) via LU.
-func (m *Dense) Solve(b *Dense) (*Dense, error) {
-	f, err := LUDecompose(m)
-	if err != nil {
-		return nil, fmt.Errorf("solve: %w", err)
-	}
-	return f.Solve(b)
-}
-
 // QR holds a Householder QR decomposition A = Q R with Q orthogonal
 // (rows×rows) and R upper trapezoidal (rows×cols).
 type QR struct {

@@ -1,5 +1,5 @@
 // Package matrix provides the dense linear-algebra substrate used by the
-// SAP reproduction: matrix arithmetic, LU/QR decompositions, symmetric
+// SAP reproduction: matrix arithmetic, QR decomposition, symmetric
 // eigendecomposition, a small Jacobi SVD, and Haar-distributed random
 // orthogonal matrices — the rotation component R of the paper's §2
 // perturbation G(X) = RX + Ψ + Δ is drawn here (QR of a Gaussian matrix
@@ -9,7 +9,7 @@
 // Storage is row-major float64. Following the convention of mainstream Go
 // numerics libraries, operations panic on dimension mismatch (a programmer
 // error), while operations whose failure is a legitimate runtime condition
-// (singular systems, non-convergence) return errors.
+// (non-convergence) return errors.
 package matrix
 
 import (
@@ -19,9 +19,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// ErrSingular is returned when a matrix is numerically singular.
-var ErrSingular = errors.New("matrix: singular matrix")
 
 // ErrNoConvergence is returned when an iterative decomposition fails to
 // converge within its sweep budget.
@@ -40,17 +37,6 @@ func New(r, c int) *Dense {
 		panic(fmt.Sprintf("matrix: negative dimension %dx%d", r, c))
 	}
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// NewFromSlice returns an r-by-c matrix backed by a copy of data, which must
-// hold exactly r*c values in row-major order.
-func NewFromSlice(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("matrix: data length %d does not match %dx%d", len(data), r, c))
-	}
-	m := New(r, c)
-	copy(m.data, data)
-	return m
 }
 
 // NewFromRows builds a matrix from a slice of equal-length rows.
@@ -78,29 +64,11 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diagonal returns a square matrix with d on its diagonal.
-func Diagonal(d []float64) *Dense {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
-// ColumnVector returns a len(v)-by-1 matrix holding a copy of v.
-func ColumnVector(v []float64) *Dense {
-	return NewFromSlice(len(v), 1, v)
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Dense) Cols() int { return m.cols }
-
-// Dims returns (rows, cols).
-func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -130,21 +98,8 @@ func (m *Dense) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Columns returns every column as its own slice — the bulk form of calling
-// Col(j) for each j. All column slices share one flat backing allocation, and
-// the matrix data is traversed once in row-major (sequential) order with
+// Columns returns a copy of every column as its own slice. All column slices
+// share one flat backing allocation, and the matrix data is traversed once in row-major (sequential) order with
 // strided writes, instead of cols× strided read passes; callers rebuilding
 // record sets from a d×N feature matrix get O(1) allocations instead of one
 // per record. The columns are copies; mutating them leaves m untouched.
@@ -171,27 +126,10 @@ func (m *Dense) SetRow(i int, v []float64) {
 	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
-// SetCol copies v into column j.
-func (m *Dense) SetCol(j int, v []float64) {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("matrix: SetCol length %d, want %d", len(v), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := New(m.rows, m.cols)
 	copy(out.data, m.data)
-	return out
-}
-
-// RawData returns a copy of the underlying row-major data.
-func (m *Dense) RawData() []float64 {
-	out := make([]float64, len(m.data))
-	copy(out, m.data)
 	return out
 }
 
@@ -246,26 +184,6 @@ func (m *Dense) Scale(a float64) *Dense {
 	out := m.Clone()
 	for i := range out.data {
 		out.data[i] *= a
-	}
-	return out
-}
-
-// AddScaled returns m + a*n.
-func (m *Dense) AddScaled(a float64, n *Dense) *Dense {
-	m.checkSameShape(n, "AddScaled")
-	out := m.Clone()
-	for i, v := range n.data {
-		out.data[i] += a * v
-	}
-	return out
-}
-
-// Hadamard returns the element-wise product of m and n.
-func (m *Dense) Hadamard(n *Dense) *Dense {
-	m.checkSameShape(n, "Hadamard")
-	out := m.Clone()
-	for i, v := range n.data {
-		out.data[i] *= v
 	}
 	return out
 }
@@ -330,27 +248,6 @@ func (m *Dense) Transpose() *Dense {
 // T is shorthand for Transpose.
 func (m *Dense) T() *Dense { return m.Transpose() }
 
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Dense) Trace() float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("matrix: Trace of non-square %dx%d", m.rows, m.cols))
-	}
-	var t float64
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
-}
-
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func (m *Dense) MaxAbs() float64 {
 	var mx float64
@@ -392,17 +289,6 @@ func (m *Dense) Augment(n *Dense) *Dense {
 		copy(out.data[i*out.cols:], m.data[i*m.cols:(i+1)*m.cols])
 		copy(out.data[i*out.cols+m.cols:], n.data[i*n.cols:(i+1)*n.cols])
 	}
-	return out
-}
-
-// Stack returns the vertical concatenation of m on top of n.
-func (m *Dense) Stack(n *Dense) *Dense {
-	if m.cols != n.cols {
-		panic(fmt.Sprintf("matrix: Stack col mismatch %d vs %d", m.cols, n.cols))
-	}
-	out := New(m.rows+n.rows, m.cols)
-	copy(out.data, m.data)
-	copy(out.data[m.rows*m.cols:], n.data)
 	return out
 }
 

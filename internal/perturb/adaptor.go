@@ -37,11 +37,6 @@ func NewAdaptor(from, to *Perturbation) (*Adaptor, error) {
 	return &Adaptor{Rot: rot, Trans: trans}, nil
 }
 
-// IdentityAdaptor returns the adaptor that maps a space to itself.
-func IdentityAdaptor(d int) *Adaptor {
-	return &Adaptor{Rot: matrix.Identity(d), Trans: make([]float64, d)}
-}
-
 // Dim returns the adaptor's dimensionality.
 func (a *Adaptor) Dim() int { return a.Rot.Rows() }
 
@@ -56,23 +51,6 @@ func (a *Adaptor) Apply(y *matrix.Dense) (*matrix.Dense, error) {
 	out := a.Rot.Mul(y)
 	addTranslation(out, a.Trans)
 	return out, nil
-}
-
-// Compose returns the adaptor equivalent to applying a first, then b:
-// (b∘a)(Y) = b.Rot·a.Rot·Y + b.Rot·a.Trans + b.Trans. Composition lets a
-// chain of space adaptations collapse into one, which the tests use to
-// verify the adaptor algebra is a groupoid action.
-func (a *Adaptor) Compose(b *Adaptor) (*Adaptor, error) {
-	if a.Dim() != b.Dim() {
-		return nil, fmt.Errorf("%w: compose dims %d vs %d", ErrDimMismatch, a.Dim(), b.Dim())
-	}
-	rot := b.Rot.Mul(a.Rot)
-	bta := b.Rot.MulVec(a.Trans)
-	trans := make([]float64, a.Dim())
-	for i := range trans {
-		trans[i] = bta[i] + b.Trans[i]
-	}
-	return &Adaptor{Rot: rot, Trans: trans}, nil
 }
 
 // Clone returns a deep copy.

@@ -59,26 +59,3 @@ func NoiseLadder(rng *rand.Rand, d, n int, sigmas []float64) ([]*matrix.Dense, e
 	}
 	return out, nil
 }
-
-// ApplyLevels perturbs a d×N data matrix into an ordered set of trust views
-// sharing one rotation and translation: views[i] = R·X + Ψ + Δ_i, with the
-// Δ_i drawn by NoiseLadder. All views live in the same target space — a
-// query transformed with the shared G works against any view's model — and
-// differ only in how much correlated noise blurs the training geometry. The
-// ladder's sigmas are absolute per-view noise levels; p's own NoiseSigma is
-// not used.
-func (p *Perturbation) ApplyLevels(rng *rand.Rand, x *matrix.Dense, sigmas []float64) ([]*matrix.Dense, error) {
-	base, err := p.ApplyNoiseless(x)
-	if err != nil {
-		return nil, err
-	}
-	ladder, err := NoiseLadder(rng, x.Rows(), x.Cols(), sigmas)
-	if err != nil {
-		return nil, err
-	}
-	views := make([]*matrix.Dense, len(ladder))
-	for i, noise := range ladder {
-		views[i] = base.Add(noise)
-	}
-	return views, nil
-}

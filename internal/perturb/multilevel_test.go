@@ -83,32 +83,3 @@ func TestNoiseLadderRejectsBadSigmas(t *testing.T) {
 		t.Errorf("zero dimension: err %v, want ErrDimMismatch", err)
 	}
 }
-
-// TestApplyLevelsSharedGeometry verifies every view shares the base
-// transform: view i minus its ladder noise is exactly R·X + Ψ, and a
-// zero-sigma first view equals the noiseless transform.
-func TestApplyLevelsSharedGeometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p, err := NewRandom(rng, 3, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := matrix.RandomGaussian(rng, 3, 40, 1)
-	views, err := p.ApplyLevels(rng, x, []float64{0, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := p.ApplyNoiseless(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !views[0].EqualApprox(base, 1e-12) {
-		t.Fatal("zero-sigma view must equal the noiseless transform")
-	}
-	if views[1].EqualApprox(base, 1e-9) {
-		t.Fatal("noisy view must differ from the noiseless transform")
-	}
-	if got, want := views[1].Rows(), 3; got != want {
-		t.Fatalf("view shape rows %d, want %d", got, want)
-	}
-}

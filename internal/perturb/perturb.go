@@ -122,22 +122,6 @@ func (p *Perturbation) ApplyNoiseless(x *matrix.Dense) (*matrix.Dense, error) {
 	return y, nil
 }
 
-// Recover inverts the rotation and translation: X̂ = R⁻¹(Y − Ψ) = Rᵀ(Y − Ψ).
-// Additive noise cannot be removed, so X̂ = X + RᵀΔ for noisy data.
-func (p *Perturbation) Recover(y *matrix.Dense) (*matrix.Dense, error) {
-	if y.Rows() != p.Dim() {
-		return nil, fmt.Errorf("%w: data is %dx%d, perturbation dim %d",
-			ErrDimMismatch, y.Rows(), y.Cols(), p.Dim())
-	}
-	shifted := y.Clone()
-	negT := make([]float64, len(p.T))
-	for i, v := range p.T {
-		negT[i] = -v
-	}
-	addTranslation(shifted, negT)
-	return p.R.T().Mul(shifted), nil
-}
-
 // addTranslation adds t to every column of y in place (Ψ = t·1ᵀ).
 func addTranslation(y *matrix.Dense, t []float64) {
 	for i := 0; i < y.Rows(); i++ {

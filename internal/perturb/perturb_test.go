@@ -75,7 +75,7 @@ func TestNewRandom(t *testing.T) {
 	}
 }
 
-func TestApplyRecoverNoiseless(t *testing.T) {
+func TestApplyZeroSigmaIsNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p, err := NewRandom(rng, 4, 0)
 	if err != nil {
@@ -89,12 +89,12 @@ func TestApplyRecoverNoiseless(t *testing.T) {
 	if noise.MaxAbs() != 0 {
 		t.Fatal("zero-sigma perturbation produced noise")
 	}
-	back, err := p.Recover(y)
+	clean, err := p.ApplyNoiseless(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.EqualApprox(x, 1e-10) {
-		t.Fatal("Recover did not invert a noiseless perturbation")
+	if !y.Equal(clean) {
+		t.Fatal("zero-sigma Apply differs from ApplyNoiseless")
 	}
 }
 
@@ -118,16 +118,6 @@ func TestApplyWithNoise(t *testing.T) {
 	if !y.Sub(noise).EqualApprox(clean, 1e-10) {
 		t.Fatal("Y − Δ != R·X + Ψ")
 	}
-	// Recover leaves the rotated noise behind: X̂ − X = RᵀΔ.
-	back, err := p.Recover(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := back.Sub(x)
-	want := p.R.T().Mul(noise)
-	if !resid.EqualApprox(want, 1e-10) {
-		t.Fatal("recovery residual is not RᵀΔ")
-	}
 }
 
 func TestApplyDimMismatch(t *testing.T) {
@@ -139,9 +129,6 @@ func TestApplyDimMismatch(t *testing.T) {
 	}
 	if _, err := p.ApplyNoiseless(x); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("ApplyNoiseless err = %v", err)
-	}
-	if _, err := p.Recover(x); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("Recover err = %v", err)
 	}
 }
 

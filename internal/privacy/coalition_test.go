@@ -53,13 +53,17 @@ func TestCoalitionGainBoundedUnderCorrelatedLadder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mats, err := p.ApplyLevels(rng, x, sigmas)
+		base, err := p.ApplyNoiseless(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := make([]TrustView, len(mats))
-		for i, m := range mats {
-			views[i] = TrustView{Level: i + 1, Sigma: sigmas[i], Data: m}
+		ladder, err := perturb.NoiseLadder(rng, d, n, sigmas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := make([]TrustView, len(ladder))
+		for i, noise := range ladder {
+			views[i] = TrustView{Level: i + 1, Sigma: sigmas[i], Data: base.Add(noise)}
 		}
 		rep, err := ev.EvaluateCoalitions(x, views, Knowledge{})
 		if err != nil {

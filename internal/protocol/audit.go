@@ -110,26 +110,6 @@ func (l *AuditLog) Events() []Event {
 	return append([]Event(nil), l.events...)
 }
 
-// CountByKind tallies events per kind.
-func (l *AuditLog) CountByKind() map[EventKind]int {
-	counts := make(map[EventKind]int)
-	for _, e := range l.Events() {
-		counts[e.Kind]++
-	}
-	return counts
-}
-
-// ByActor returns the events recorded by one actor, in order.
-func (l *AuditLog) ByActor(actor string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Actor == actor {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the log one event per line.
 func (l *AuditLog) String() string {
 	var b strings.Builder
@@ -150,8 +130,9 @@ func (l *AuditLog) String() string {
 //  3. The miner receives exactly k submissions and exactly one adaptor map.
 func (l *AuditLog) VerifyInvariants(coordinator, miner string, k int) []string {
 	var problems []string
-	counts := l.CountByKind()
+	counts := make(map[EventKind]int)
 	for _, e := range l.Events() {
+		counts[e.Kind]++
 		if e.Actor == coordinator && (e.Kind == EventDatasetReceived || e.Kind == EventSubmissionReceived) {
 			problems = append(problems, fmt.Sprintf("coordinator recorded %v", e.Kind))
 		}

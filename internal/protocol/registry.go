@@ -921,19 +921,6 @@ func (s *MiningService) GroupIngested(group string) (int, error) {
 	return int(sh.ingested.Load()), nil
 }
 
-// GroupModel returns one group's currently served primary-view classifier
-// (the atomic the prediction workers load; multi-level groups' lower views
-// come from GroupViewModels). The instance is never mutated after publish,
-// so callers may encode it concurrently with serving; the cluster layer
-// does, for anti-entropy re-pushes.
-func (s *MiningService) GroupModel(group string) (classify.Classifier, error) {
-	sh, err := s.shard(group)
-	if err != nil {
-		return nil, err
-	}
-	return *sh.primary().model.Load(), nil
-}
-
 // GroupViewModel pairs one trust view's level with its currently served
 // classifier.
 type GroupViewModel struct {

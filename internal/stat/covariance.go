@@ -2,7 +2,6 @@ package stat
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/matrix"
 )
@@ -35,29 +34,4 @@ func CovarianceMatrix(data *matrix.Dense) (*matrix.Dense, error) {
 		}
 	}
 	return cov, nil
-}
-
-// CorrelationMatrix computes the d×d Pearson correlation of d×N data.
-// Constant dimensions yield zero correlation rows/columns (and unit
-// diagonal).
-func CorrelationMatrix(data *matrix.Dense) (*matrix.Dense, error) {
-	cov, err := CovarianceMatrix(data)
-	if err != nil {
-		return nil, err
-	}
-	d := cov.Rows()
-	corr := matrix.New(d, d)
-	for a := 0; a < d; a++ {
-		corr.Set(a, a, 1)
-		for b := a + 1; b < d; b++ {
-			va, vb := cov.At(a, a), cov.At(b, b)
-			if va <= 0 || vb <= 0 {
-				continue
-			}
-			r := cov.At(a, b) / (math.Sqrt(va) * math.Sqrt(vb))
-			corr.Set(a, b, r)
-			corr.Set(b, a, r)
-		}
-	}
-	return corr, nil
 }

@@ -48,19 +48,6 @@ func (h *Histogram) AddAll(xs []float64) {
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() int { return h.total }
 
-// Density returns the normalized bin frequencies (empty histogram yields
-// all-zero densities).
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return d
-	}
-	for i, c := range h.Counts {
-		d[i] = float64(c) / float64(h.total)
-	}
-	return d
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))

@@ -51,28 +51,6 @@ func TestHistogramClamping(t *testing.T) {
 	}
 }
 
-func TestHistogramDensity(t *testing.T) {
-	h, _ := NewHistogram(0, 4, 4)
-	h.AddAll([]float64{0.5, 1.5, 1.7, 3.5})
-	d := h.Density()
-	var sum float64
-	for _, v := range d {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("density sums to %v, want 1", sum)
-	}
-	if math.Abs(d[1]-0.5) > 1e-12 {
-		t.Errorf("d[1] = %v, want 0.5", d[1])
-	}
-	empty, _ := NewHistogram(0, 1, 3)
-	for _, v := range empty.Density() {
-		if v != 0 {
-			t.Error("empty histogram density nonzero")
-		}
-	}
-}
-
 func TestHistogramBinCenter(t *testing.T) {
 	h, _ := NewHistogram(0, 10, 5)
 	if got := h.BinCenter(0); math.Abs(got-1) > 1e-12 {

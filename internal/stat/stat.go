@@ -1,10 +1,8 @@
 // Package stat provides the statistics substrate for the SAP reproduction:
-// descriptive moments, quantiles, histograms, covariance/correlation, and
-// the scalar Welford streaming accumulator. The privacy guarantee of the
-// paper's §2.2 is a statistic too (the standard deviation of the best
-// attacker's estimation error), so the attack suite leans on this package
-// throughout. All randomized helpers take an explicit *rand.Rand so every
-// experiment is reproducible from a seed.
+// descriptive moments, quantiles, histograms and covariance/correlation. The
+// privacy guarantee of the paper's §2.2 is a statistic too (the standard
+// deviation of the best attacker's estimation error), so the attack suite
+// leans on this package throughout.
 package stat
 
 import (
@@ -43,20 +41,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased (n-1) variance estimate.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -88,16 +72,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Range returns max-min (0 for empty input).
-func Range(xs []float64) float64 {
-	mn, err := Min(xs)
-	if err != nil {
-		return 0
-	}
-	mx, _ := Max(xs)
-	return mx - mn
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics. It returns ErrEmpty for empty input.
 func Quantile(xs []float64, q float64) (float64, error) {
@@ -125,29 +99,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 
 // Median returns the 0.5 quantile.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// Kurtosis returns the excess kurtosis of xs; 0 for Gaussian data. Used by
-// the FastICA attack as its non-Gaussianity contrast.
-func Kurtosis(xs []float64) float64 {
-	if len(xs) < 4 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	n := float64(len(xs))
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
 
 // Covariance returns the population covariance of two equal-length samples.
 func Covariance(xs, ys []float64) (float64, error) {
@@ -178,39 +129,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 	}
 	return cov / (sx * sy), nil
 }
-
-// Welford is a streaming mean/variance accumulator. The zero value is ready
-// to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Summary bundles the descriptive statistics the experiment harness reports.
 type Summary struct {

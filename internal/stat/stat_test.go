@@ -43,14 +43,7 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEqual(got, 2.5, 1e-12) {
-		t.Errorf("SampleVariance = %v, want 2.5", got)
-	}
-}
-
-func TestMinMaxRange(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	mn, err := Min(xs)
 	if err != nil || mn != -2 {
@@ -60,17 +53,11 @@ func TestMinMaxRange(t *testing.T) {
 	if err != nil || mx != 7 {
 		t.Errorf("Max = %v, %v; want 7, nil", mx, err)
 	}
-	if got := Range(xs); got != 9 {
-		t.Errorf("Range = %v, want 9", got)
-	}
 	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
 	}
 	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	if got := Range(nil); got != 0 {
-		t.Errorf("Range(nil) = %v, want 0", got)
 	}
 }
 
@@ -109,32 +96,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestKurtosis(t *testing.T) {
-	// Gaussian sample: excess kurtosis near 0.
-	rng := rand.New(rand.NewSource(1))
-	gauss := make([]float64, 20000)
-	for i := range gauss {
-		gauss[i] = rng.NormFloat64()
-	}
-	if k := Kurtosis(gauss); math.Abs(k) > 0.15 {
-		t.Errorf("Gaussian kurtosis = %v, want ~0", k)
-	}
-	// Uniform: excess kurtosis -1.2.
-	unif := make([]float64, 20000)
-	for i := range unif {
-		unif[i] = rng.Float64()
-	}
-	if k := Kurtosis(unif); math.Abs(k+1.2) > 0.15 {
-		t.Errorf("Uniform kurtosis = %v, want ~-1.2", k)
-	}
-	if k := Kurtosis([]float64{1, 2}); k != 0 {
-		t.Errorf("Kurtosis(short) = %v, want 0", k)
-	}
-	if k := Kurtosis([]float64{3, 3, 3, 3, 3}); k != 0 {
-		t.Errorf("Kurtosis(constant) = %v, want 0", k)
-	}
-}
-
 func TestCovarianceCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -162,35 +123,6 @@ func TestCovarianceCorrelation(t *testing.T) {
 	constCorr, _ := Correlation(xs, []float64{5, 5, 5, 5})
 	if constCorr != 0 {
 		t.Errorf("Correlation(const) = %v, want 0", constCorr)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 500)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 1
-		w.Add(xs[i])
-	}
-	if w.N() != 500 {
-		t.Fatalf("N = %d, want 500", w.N())
-	}
-	if !almostEqual(w.Mean(), Mean(xs), 1e-10) {
-		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(xs))
-	}
-	if !almostEqual(w.Variance(), Variance(xs), 1e-10) {
-		t.Errorf("Welford var %v != batch %v", w.Variance(), Variance(xs))
-	}
-	if !almostEqual(w.StdDev(), StdDev(xs), 1e-10) {
-		t.Errorf("Welford sd %v != batch %v", w.StdDev(), StdDev(xs))
-	}
-}
-
-func TestWelfordZeroValue(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.Mean() != 0 || w.N() != 0 {
-		t.Error("zero-value Welford not usable")
 	}
 }
 

@@ -22,7 +22,7 @@ var allocBudgets = []struct {
 	allocs      float64 // per run, measured at setting time
 	setBy       string  // the change that set the row
 }{
-	{"4096x8/chunk256", 4096, 8, 256, 437, "emit applies G_t directly; rows copied once per source batch"},
+	{"4096x8/chunk256", 4096, 8, 256, 309, "dataset.New takes feature names from a table built once, not Sprintf per chunk"},
 }
 
 // TestPipelineAllocBudget runs the pipeline over each budget row's data and
