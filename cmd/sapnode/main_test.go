@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -133,5 +134,27 @@ func TestRunCoordinatorNeedsProviders(t *testing.T) {
 		"-miner", "m", "-candidates", "2", "-steps", "1"})
 	if err == nil || !strings.Contains(err.Error(), "-providers") {
 		t.Fatalf("err = %v, want -providers complaint", err)
+	}
+}
+
+// blockingService serves until its context ends.
+type blockingService struct{}
+
+func (blockingService) Serve(ctx context.Context) error {
+	<-ctx.Done()
+	return nil
+}
+
+// TestServeLoopStops checks both ways a serving miner stops cleanly: its
+// -serve window closing, and its context being cancelled (SIGINT/SIGTERM in
+// main, startRun's stop in the end-to-end tests).
+func TestServeLoopStops(t *testing.T) {
+	if err := serveLoop(context.Background(), blockingService{}, "window", 10*time.Millisecond); err != nil {
+		t.Fatalf("window close: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := serveLoop(ctx, blockingService{}, "cancelled", -1); err != nil {
+		t.Fatalf("cancel: %v", err)
 	}
 }

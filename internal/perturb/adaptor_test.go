@@ -98,7 +98,7 @@ func TestAdaptorDimMismatch(t *testing.T) {
 	}
 }
 
-func TestSelfAdaptorIsIdentity(t *testing.T) {
+func TestIdentityAdaptor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := testData(rng, 3, 10)
 	g, _ := NewRandom(rng, 3, 0)

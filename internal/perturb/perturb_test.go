@@ -75,7 +75,7 @@ func TestNewRandom(t *testing.T) {
 	}
 }
 
-func TestApplyZeroSigmaIsNoiseless(t *testing.T) {
+func TestApplyRecoverNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p, err := NewRandom(rng, 4, 0)
 	if err != nil {
@@ -89,12 +89,15 @@ func TestApplyZeroSigmaIsNoiseless(t *testing.T) {
 	if noise.MaxAbs() != 0 {
 		t.Fatal("zero-sigma perturbation produced noise")
 	}
-	clean, err := p.ApplyNoiseless(x)
-	if err != nil {
-		t.Fatal(err)
+	// R is orthogonal, so Rᵀ(Y − Ψ) recovers X.
+	shifted := y.Clone()
+	for i := 0; i < shifted.Rows(); i++ {
+		for j := 0; j < shifted.Cols(); j++ {
+			shifted.Set(i, j, shifted.At(i, j)-p.T[i])
+		}
 	}
-	if !y.Equal(clean) {
-		t.Fatal("zero-sigma Apply differs from ApplyNoiseless")
+	if !p.R.T().Mul(shifted).EqualApprox(x, 1e-10) {
+		t.Fatal("Rᵀ(Y − Ψ) did not invert a noiseless perturbation")
 	}
 }
 

@@ -43,7 +43,7 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMinMaxRange(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	mn, err := Min(xs)
 	if err != nil || mn != -2 {
